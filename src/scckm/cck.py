@@ -8,6 +8,7 @@ mathematically integers (or Gaussian integers) come out bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -273,15 +274,19 @@ def cck8_codebook() -> Codebook:
     return Codebook(length_n=8, bits_per_codeword=8, entries=entries)
 
 
+@contextlib.contextmanager
+def open_text(target, mode: str):
+    """Yield target itself if it is a file object, else open it as a UTF-8 path."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield target
+
+
 def export_codebook_csv(codebook: Codebook, destination) -> None:
     """Write a codebook as CSV: index, bit_pattern, then chip re/im columns."""
-    close = False
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        fh = open(destination, "w", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh = destination
-    try:
+    with open_text(destination, "w") as fh:
         chip_cols = ",".join(
             f"chip_{j}_re,chip_{j}_im" for j in range(codebook.length_n)
         )
@@ -289,6 +294,3 @@ def export_codebook_csv(codebook: Codebook, destination) -> None:
         for i, row in enumerate(codebook.entries):
             chips = ",".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in row)
             fh.write(f"{i},{codebook.bit_pattern(i)},{chips}\n")
-    finally:
-        if close:
-            fh.close()

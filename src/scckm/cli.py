@@ -15,8 +15,7 @@ from .sim import SCHEMES, SimConfig, emit_csv, run_sweep
 
 _INT_KEYS = ("ntx", "nrx", "frames", "seed", "taps", "nsub", "cp",
              "symbols_per_frame", "max_bit_errors", "workers")
-# transmit antenna counts implied by the codeword length
-_SCCK_NTX = {"scck2": 2, "scck4": 4, "scck8": 8}
+_KEYS = _INT_KEYS + ("scheme", "ebn0", "out")
 
 
 def parse_ebn0(text: str) -> tuple:
@@ -42,7 +41,7 @@ def parse_ebn0(text: str) -> tuple:
 
 
 def read_config_file(path: str) -> dict:
-    """Plain key=value lines; blank lines and # comments ignored."""
+    """key=value lines keyed by long flag name; # comments ignored, unknown keys rejected."""
     settings = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -52,7 +51,10 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            settings[key.strip().replace("-", "_")] = value.strip()
+            name = key.strip().replace("-", "_")
+            if name not in _KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key.strip()!r}")
+            settings[name] = value.strip()
     return settings
 
 
@@ -100,10 +102,10 @@ def build_config(settings: dict) -> SimConfig:
     if not scheme:
         raise ValueError("a scheme is required (--scheme or scheme= in the config file)")
     ntx = settings.get("ntx")
+    if ntx is None and scheme in SCHEMES:
+        ntx = SCHEMES[scheme].fixed_n_tx
     if ntx is None:
-        ntx = _SCCK_NTX.get(scheme)
-        if ntx is None:
-            raise ValueError(f"{scheme} requires --ntx")
+        raise ValueError(f"{scheme} requires --ntx")
     nrx = settings.get("nrx")
     if nrx is None:
         raise ValueError("--nrx is required")

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .cck import Codebook, pack_bits, unpack_bits
 
 BPSK = np.array([1.0, -1.0], dtype=np.complex128)
@@ -103,53 +102,15 @@ def zf_equalize_grid(received: np.ndarray, hk: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kj->ki", pinv, received)
 
 
-def is_degenerate(h_k: np.ndarray) -> bool:
-    """True when the smallest singular value falls under ZF_RCOND * largest."""
-    sv = np.linalg.svd(np.asarray(h_k), compute_uv=False)
-    return bool(sv[-1] < ZF_RCOND * sv[0])
-
-
 def ml_detect_scck_grid(equalized: np.ndarray, codebook: Codebook) -> ScckDetection:
     """Closest power-normalized codeword per row of an (n_sub, N_t) grid."""
     normalized = codebook.entries / math.sqrt(codebook.length_n)
-    indices, dists = kernels.scck_detect(equalized, normalized)
+    z = np.asarray(equalized)
+    d2 = np.sum(np.abs(z[:, None, :] - normalized[None, :, :]) ** 2, axis=2)
+    indices = np.argmin(d2, axis=1)
     bits = unpack_bits(indices, codebook.bits_per_codeword)
-    return ScckDetection(indices=indices, bits=bits, distances=dists)
-
-
-def ml_detect_scck(equalized: np.ndarray, codebook: Codebook):
-    """Single-subcarrier ML detection: returns (codeword index, bits)."""
-    equalized = np.asarray(equalized)
-    if equalized.shape != (codebook.length_n,):
-        raise ValueError(
-            f"equalized vector must have length {codebook.length_n}, "
-            f"got shape {equalized.shape}"
-        )
-    det = ml_detect_scck_grid(equalized[None, :], codebook)
-    return int(det.indices[0]), det.bits[:, 0]
-
-
-def ml_detect_sm_grid(received: np.ndarray, hk: np.ndarray, n_tx: int,
-                      constellation) -> SmDetection:
-    """Joint ML over (antenna, point) per subcarrier.
-
-    received is (n_sub, n_rx), hk is (n_sub, n_rx, n_tx).  Decoded bits stack
-    the antenna index (natural binary) over the point label.
-    """
-    points = _constellation(constellation)
-    ant, labels, dists = kernels.sm_detect(received, hk, points)
-    ant_bits = int(n_tx).bit_length() - 1
-    sym_bits = len(points).bit_length() - 1
-    bits = np.vstack([unpack_bits(ant, ant_bits), unpack_bits(labels, sym_bits)])
-    return SmDetection(antennas=ant, labels=labels, bits=bits, distances=dists)
-
-
-def ml_detect_sm(received: np.ndarray, h_k: np.ndarray, n_tx: int, constellation):
-    """Single-subcarrier SM detection: returns (antenna, point, bits)."""
-    received = np.asarray(received)
-    det = ml_detect_sm_grid(received[None, :], h_k[None, :, :], n_tx, constellation)
-    point = _constellation(constellation)[det.labels[0]]
-    return int(det.antennas[0]), point, det.bits[:, 0]
+    return ScckDetection(indices=indices, bits=bits,
+                         distances=d2[np.arange(len(indices)), indices])
 
 
 def ml_detect_sm_equalized_grid(equalized: np.ndarray, n_tx: int,
@@ -167,10 +128,17 @@ def ml_detect_sm_equalized_grid(equalized: np.ndarray, n_tx: int,
         raise ValueError(
             f"equalized grid must be (n_sub, {n_tx}), got {equalized.shape}")
     points = _constellation(constellation)
-    ant, labels, metric = kernels.sm_detect_equalized(equalized, points)
+    # |z_a - s|^2 - |z_a|^2 per (subcarrier, antenna, point), antenna-major so
+    # ties resolve to the lower antenna, then the lower point label
+    dr = equalized.real[:, :, None] - points.real[None, None, :]
+    di = equalized.imag[:, :, None] - points.imag[None, None, :]
+    zp = equalized.real * equalized.real + equalized.imag * equalized.imag
+    metric = ((dr * dr + di * di) - zp[:, :, None]).reshape(len(equalized), -1)
+    best = np.argmin(metric, axis=1)
+    ant, labels = best // len(points), best % len(points)
     offset = np.sum(np.abs(equalized) ** 2, axis=1)
     ant_bits = int(n_tx).bit_length() - 1
     sym_bits = len(points).bit_length() - 1
     bits = np.vstack([unpack_bits(ant, ant_bits), unpack_bits(labels, sym_bits)])
     return SmDetection(antennas=ant, labels=labels, bits=bits,
-                       distances=metric + offset)
+                       distances=metric[np.arange(len(best)), best] + offset)

@@ -18,7 +18,6 @@ import numpy as np
 class OfdmParams:
     n_sub: int = 256
     cp_len: int = 16
-    sample_period: float = 50e-9
 
     def __post_init__(self):
         if self.n_sub < 1 or self.n_sub & (self.n_sub - 1):

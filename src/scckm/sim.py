@@ -14,24 +14,39 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cck import Codebook, cck2_codebook, cck4_reference_codebook, cck8_codebook
+from .cck import (Codebook, cck2_codebook, cck4_reference_codebook, cck8_codebook,
+                  open_text)
 from .channel import apply_channel, freq_response, generate_channel
-from .modem import (CONSTELLATIONS, ml_detect_scck_grid,
-                    ml_detect_sm_equalized_grid, scck_map, sm_map,
-                    zf_equalize_grid)
+from .modem import (ml_detect_scck_grid, ml_detect_sm_equalized_grid, scck_map,
+                    sm_map, zf_equalize_grid)
 from .ofdm import OfdmParams, ofdm_demodulate, ofdm_modulate
 
-_SCCK_CODEBOOKS = {
-    "scck2": cck2_codebook,
-    "scck4": cck4_reference_codebook,
-    "scck8": cck8_codebook,
+
+class Scheme(NamedTuple):
+    """What a scheme name fixes.
+
+    SCCK spreads one codeword over the antennas, so its length fixes n_tx.  SM
+    takes any power-of-two n_tx and adds log2(n_tx) antenna bits per subcarrier
+    to the symbol_bits of its constellation point.
+    """
+
+    symbol_bits: int
+    fixed_n_tx: int | None = None
+    codebook: Callable[[], Codebook] | None = None
+    constellation: str | None = None
+
+
+SCHEMES = {
+    "scck2": Scheme(2, fixed_n_tx=2, codebook=cck2_codebook),
+    "scck4": Scheme(4, fixed_n_tx=4, codebook=cck4_reference_codebook),
+    "scck8": Scheme(8, fixed_n_tx=8, codebook=cck8_codebook),
+    "sm-bpsk": Scheme(1, constellation="bpsk"),
+    "sm-4qam": Scheme(2, constellation="4qam"),
 }
-_SM_CONSTELLATION = {"sm-bpsk": "bpsk", "sm-4qam": "4qam"}
-SCHEMES = tuple(_SCCK_CODEBOOKS) + tuple(_SM_CONSTELLATION)
 
 
 @dataclass(frozen=True)
@@ -49,18 +64,15 @@ class SimConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.scheme in _SCCK_CODEBOOKS:
-            required = int(self.scheme[-1])
-            if self.n_tx != required:
-                raise ValueError(
-                    f"{self.scheme} requires {required} transmit antennas, got {self.n_tx}"
-                )
-        else:
-            if self.n_tx < 2 or self.n_tx & (self.n_tx - 1):
-                raise ValueError(
-                    f"transmit antenna count must be a power of two >= 2, got {self.n_tx}"
-                )
+            raise ValueError(
+                f"unknown scheme {self.scheme!r}, expected one of {tuple(SCHEMES)}")
+        required = SCHEMES[self.scheme].fixed_n_tx
+        if required is not None and self.n_tx != required:
+            raise ValueError(
+                f"{self.scheme} requires {required} transmit antennas, got {self.n_tx}")
+        if required is None and (self.n_tx < 2 or self.n_tx & (self.n_tx - 1)):
+            raise ValueError(
+                f"transmit antenna count must be a power of two >= 2, got {self.n_tx}")
         if self.n_rx < self.n_tx:
             raise ValueError(
                 f"zero forcing needs n_rx >= n_tx, got {self.n_rx} < {self.n_tx}"
@@ -89,11 +101,10 @@ class SimConfig:
 
     @property
     def bits_per_subcarrier(self) -> int:
-        if self.scheme in _SCCK_CODEBOOKS:
-            return int(self.scheme[-1])
-        ant_bits = self.n_tx.bit_length() - 1
-        sym_bits = len(CONSTELLATIONS[_SM_CONSTELLATION[self.scheme]]).bit_length() - 1
-        return ant_bits + sym_bits
+        scheme = SCHEMES[self.scheme]
+        if scheme.fixed_n_tx is not None:
+            return scheme.symbol_bits
+        return self.n_tx.bit_length() - 1 + scheme.symbol_bits
 
 
 class BerPoint(NamedTuple):
@@ -132,8 +143,25 @@ def _symbol_rng(seed: int, frame: int, symbol: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(frame, symbol)))
 
 
-def _run_frame(config: SimConfig, mapper, frame: int, n0: float) -> int:
+def _scheme_ops(config: SimConfig):
+    """(map, detect) for the config's scheme; detect takes the ZF grid.
+
+    The stage functions are looked up as module globals at call time, so a
+    tool that swaps them in this namespace (perfbench's tracer) sees each call.
+    """
+    scheme = SCHEMES[config.scheme]
+    if scheme.codebook is not None:
+        book = scheme.codebook()
+        return (lambda bits: scck_map(bits, book),
+                lambda equalized: ml_detect_scck_grid(equalized, book).bits)
+    n_tx, name = config.n_tx, scheme.constellation
+    return (lambda bits: sm_map(bits, n_tx, name),
+            lambda equalized: ml_detect_sm_equalized_grid(equalized, n_tx, name).bits)
+
+
+def _run_frame(config: SimConfig, ops, frame: int, n0: float) -> int:
     """Simulate one frame and return its bit error count."""
+    map_bits, detect = ops
     params = config.ofdm
     m = config.bits_per_subcarrier
     errors = 0
@@ -141,58 +169,27 @@ def _run_frame(config: SimConfig, mapper, frame: int, n0: float) -> int:
         rng = _symbol_rng(config.seed, frame, symbol)
         bits = rng.integers(0, 2, size=(m, params.n_sub), dtype=np.uint8)
         channel = generate_channel(config.n_tx, config.n_rx, config.taps, rng)
-        grid = mapper.map(bits)
-        tx = ofdm_modulate(grid, params)
+        tx = ofdm_modulate(map_bits(bits), params)
         rx = apply_channel(tx, channel, n0, rng)
         received = ofdm_demodulate(rx[:, : params.n_sub + params.cp_len], params).T
         hk = freq_response(channel, params)
-        decoded = mapper.detect(received, hk)
+        decoded = detect(zf_equalize_grid(received, hk))
         errors += int(np.count_nonzero(decoded != bits))
     return errors
 
 
-class _ScckMapper:
-    def __init__(self, config: SimConfig):
-        self.codebook: Codebook = _SCCK_CODEBOOKS[config.scheme]()
-
-    def map(self, bits):
-        return scck_map(bits, self.codebook)
-
-    def detect(self, received, hk):
-        equalized = zf_equalize_grid(received, hk)
-        return ml_detect_scck_grid(equalized, self.codebook).bits
-
-
-class _SmMapper:
-    def __init__(self, config: SimConfig):
-        self.n_tx = config.n_tx
-        self.constellation = _SM_CONSTELLATION[config.scheme]
-
-    def map(self, bits):
-        return sm_map(bits, self.n_tx, self.constellation)
-
-    def detect(self, received, hk):
-        equalized = zf_equalize_grid(received, hk)
-        return ml_detect_sm_equalized_grid(
-            equalized, self.n_tx, self.constellation).bits
-
-
-def _mapper(config: SimConfig):
-    if config.scheme in _SCCK_CODEBOOKS:
-        return _ScckMapper(config)
-    return _SmMapper(config)
-
-
 def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     """Simulate one Eb/N0 point, early-stopping at max_bit_errors if set."""
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     n0 = noise_variance(config, ebn0_db)
-    mapper = _mapper(config)
+    ops = _scheme_ops(config)
     limit = config.max_bit_errors
     errors = 0
     frames_run = 0
-    if workers <= 1:
+    if workers == 1:
         for frame in range(config.frames):
-            errors += _run_frame(config, mapper, frame, n0)
+            errors += _run_frame(config, ops, frame, n0)
             frames_run += 1
             if limit is not None and errors >= limit:
                 break
@@ -206,7 +203,7 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
             while submitted < config.frames or pending:
                 while submitted < config.frames and len(pending) < window:
                     pending.append(
-                        pool.submit(_run_frame, config, mapper, submitted, n0)
+                        pool.submit(_run_frame, config, ops, submitted, n0)
                     )
                     submitted += 1
                 errors += pending.popleft().result()
@@ -231,35 +228,20 @@ def run_sweep(config: SimConfig, workers: int = 1) -> BerCurve:
 
 def emit_csv(curve: BerCurve, destination) -> None:
     """Write a BER curve as CSV with config and seed comment lines."""
-    close = False
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        fh = open(destination, "w", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh = destination
-    try:
+    with open_text(destination, "w") as fh:
         fh.write(f"# config: {canonical_config_string(curve.config)}\n")
         fh.write(f"# seed: {curve.config.seed}\n")
         fh.write("ebn0_db,bits_simulated,bit_errors,ber\n")
         for pt in curve.points:
             fh.write(f"{pt.ebn0_db!r},{pt.bits_simulated},{pt.bit_errors},{pt.ber!r}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def read_csv(source):
     """Parse emit_csv output: returns (config string, seed, list of BerPoint)."""
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh = source
-    try:
-        config_str = None
-        seed = None
-        points = []
+    config_str = None
+    seed = None
+    points = []
+    with open_text(source, "r") as fh:
         for line in fh:
             line = line.strip()
             if not line:
@@ -273,7 +255,4 @@ def read_csv(source):
             else:
                 e, b, n, r = line.split(",")
                 points.append(BerPoint(float(e), int(b), int(n), float(r)))
-        return config_str, seed, points
-    finally:
-        if close:
-            fh.close()
+    return config_str, seed, points

@@ -1,14 +1,11 @@
-"""Mapping, equalization and detection, including kernel path agreement."""
+"""Mapping, equalization and detection."""
 
 import numpy as np
 import pytest
 
-import scckm.kernels as kernels
 from scckm.cck import cck2_codebook, cck4_reference_codebook, cck8_codebook, pack_bits
-from scckm.modem import (BPSK, QAM4, ml_detect_scck, ml_detect_scck_grid,
-                         ml_detect_sm, ml_detect_sm_equalized_grid,
-                         ml_detect_sm_grid, is_degenerate, scck_map, sm_map,
-                         zf_equalize, zf_equalize_grid)
+from scckm.modem import (BPSK, QAM4, ml_detect_scck_grid, ml_detect_sm_equalized_grid,
+                         scck_map, sm_map, zf_equalize, zf_equalize_grid)
 
 
 class TestMapping:
@@ -76,11 +73,6 @@ class TestZeroForcing:
         for k in range(8):
             assert np.max(np.abs(batched[k] - zf_equalize(r[k], hk[k]))) < 1e-10
 
-    def test_degenerate_flag(self):
-        h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-        assert is_degenerate(h)
-        assert not is_degenerate(np.eye(2, dtype=complex))
-
     def test_degenerate_channel_still_returns(self):
         # rank-deficient matrices go through the truncated pseudo-inverse
         h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -114,44 +106,7 @@ class TestScckDetection:
         det = ml_detect_scck_grid(np.zeros((3, 2), dtype=complex), cb)
         assert np.array_equal(det.indices, [0, 0, 0])
 
-    def test_single_subcarrier_wrapper(self):
-        cb = cck2_codebook()
-        idx, bits = ml_detect_scck(cb.entries[2] / np.sqrt(2), cb)
-        assert idx == 2
-        assert bits.tolist() == [1, 0]
-        with pytest.raises(ValueError):
-            ml_detect_scck(np.zeros(3, dtype=complex), cb)
-
-
 class TestSmDetection:
-    def test_joint_matches_brute_force(self):
-        rng = np.random.default_rng(5)
-        hk = rng.normal(size=(16, 4, 2)) + 1j * rng.normal(size=(16, 4, 2))
-        r = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
-        det = ml_detect_sm_grid(r, hk, 2, "4qam")
-        for k in range(16):
-            best = min(((a, s) for a in range(2) for s in range(4)),
-                       key=lambda c: np.sum(np.abs(r[k] - hk[k][:, c[0]] * QAM4[c[1]]) ** 2))
-            assert (det.antennas[k], det.labels[k]) == best
-
-    def test_joint_noiseless_exact(self):
-        rng = np.random.default_rng(6)
-        hk = rng.normal(size=(8, 6, 4)) + 1j * rng.normal(size=(8, 6, 4))
-        ant = rng.integers(0, 4, size=8)
-        lab = rng.integers(0, 2, size=8)
-        r = hk[np.arange(8), :, ant] * BPSK[lab][:, None]
-        det = ml_detect_sm_grid(r, hk, 4, "bpsk")
-        assert np.array_equal(det.antennas, ant)
-        assert np.array_equal(det.labels, lab)
-
-    def test_single_wrapper(self):
-        rng = np.random.default_rng(7)
-        h = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        antenna, point, bits = ml_detect_sm(h[:, 1] * QAM4[3], h, 2, "4qam")
-        assert antenna == 1
-        assert point == QAM4[3]
-        assert bits.tolist() == [1, 1, 1]
-
     def test_equalized_matches_brute_force(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=(32, 4)) + 1j * rng.normal(size=(32, 4))
@@ -175,6 +130,12 @@ class TestSmDetection:
         assert np.array_equal(det.antennas, ant)
         assert np.array_equal(det.labels, [3, 2, 1, 0])
 
+    def test_equalized_tie_breaks_low(self):
+        # the origin is equidistant from every (antenna, point) hypothesis
+        det = ml_detect_sm_equalized_grid(np.zeros((3, 4), dtype=complex), 4, "4qam")
+        assert np.array_equal(det.antennas, [0, 0, 0])
+        assert np.array_equal(det.labels, [0, 0, 0])
+
     def test_equalized_shape_check(self):
         with pytest.raises(ValueError):
             ml_detect_sm_equalized_grid(np.zeros((4, 2), dtype=complex), 4, "bpsk")
@@ -182,50 +143,6 @@ class TestSmDetection:
     def test_unknown_constellation(self):
         with pytest.raises(ValueError):
             ml_detect_sm_equalized_grid(np.zeros((1, 2), dtype=complex), 2, "8psk")
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-class TestKernelPathAgreement:
-    """Jitted loops and the numpy fallback must agree bit for bit."""
-
-    def test_scck_detect(self):
-        rng = np.random.default_rng(9)
-        z = np.ascontiguousarray(rng.normal(size=(64, 8)) + 1j * rng.normal(size=(64, 8)))
-        cw = np.ascontiguousarray(cck8_codebook().entries / np.sqrt(8))
-        i_np, d_np = kernels._scck_detect_np(z, cw)
-        i_nb, d_nb = kernels._scck_detect_nb(z, cw)
-        assert np.array_equal(i_np, i_nb)
-        assert np.max(np.abs(d_np - d_nb)) < 1e-10
-
-    def test_sm_detect(self):
-        rng = np.random.default_rng(10)
-        r = np.ascontiguousarray(rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4)))
-        hk = np.ascontiguousarray(rng.normal(size=(64, 4, 4)) + 1j * rng.normal(size=(64, 4, 4)))
-        pts = np.ascontiguousarray(QAM4)
-        a_np, l_np, d_np = kernels._sm_detect_np(r, hk, pts)
-        a_nb, l_nb, d_nb = kernels._sm_detect_nb(r, hk, pts)
-        assert np.array_equal(a_np, a_nb)
-        assert np.array_equal(l_np, l_nb)
-        assert np.max(np.abs(d_np - d_nb)) < 1e-10
-
-    def test_sm_detect_equalized(self):
-        rng = np.random.default_rng(11)
-        z = np.ascontiguousarray(rng.normal(size=(64, 8)) + 1j * rng.normal(size=(64, 8)))
-        pts = np.ascontiguousarray(BPSK)
-        a_np, l_np, m_np = kernels._sm_detect_eq_np(z, pts)
-        a_nb, l_nb, m_nb = kernels._sm_detect_eq_nb(z, pts)
-        assert np.array_equal(a_np, a_nb)
-        assert np.array_equal(l_np, l_nb)
-        assert np.array_equal(m_np, m_nb)
-
-    def test_tie_handling_matches(self):
-        # exact ties from integer-valued inputs must resolve identically
-        z = np.zeros((4, 2), dtype=complex)
-        cw = np.ascontiguousarray(cck2_codebook().entries)
-        i_np, _ = kernels._scck_detect_np(z, cw)
-        i_nb, _ = kernels._scck_detect_nb(z, cw)
-        assert np.array_equal(i_np, i_nb)
-        assert np.all(i_np == 0)
 
 
 class TestLoopback:

@@ -62,4 +62,3 @@ def test_default_params():
     params = OfdmParams()
     assert params.n_sub == 256
     assert params.cp_len == 16
-    assert params.sample_period == 50e-9

@@ -95,6 +95,25 @@ class TestRunPoint:
         assert pt.bits_simulated % frame_bits == 0
         assert pt.bits_simulated < 50 * frame_bits
 
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -5):
+            with pytest.raises(ValueError, match="worker count"):
+                run_point(small_config(), 4.0, workers=workers)
+
+    # (bits_simulated, bit_errors) at 0 dB over 2 frames of 4 symbols, seed 9
+    @pytest.mark.parametrize("scheme,n_tx,n_rx,expected", [
+        ("scck2", 2, 2, (512, 111)),
+        ("scck4", 4, 4, (1024, 207)),
+        ("scck8", 8, 8, (2048, 457)),
+        ("sm-bpsk", 4, 4, (768, 157)),
+        ("sm-4qam", 2, 2, (768, 146)),
+    ])
+    def test_pinned_counts(self, scheme, n_tx, n_rx, expected):
+        cfg = small_config(scheme=scheme, n_tx=n_tx, n_rx=n_rx, frames=2,
+                           ebn0_db=(0.0,))
+        pt = run_point(cfg, 0.0)
+        assert (pt.bits_simulated, pt.bit_errors) == expected
+
     def test_sm_scheme_runs(self):
         cfg = small_config(scheme="sm-bpsk", n_tx=2, n_rx=4, ebn0_db=(6.0,))
         pt = run_point(cfg, 6.0)
@@ -184,6 +203,13 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             read_config_file(str(cfg_file))
 
+    def test_unknown_key(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("scheme = scck2\nframs = 1\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_config_file(str(cfg_file))
+        assert str(excinfo.value) == f"{cfg_file}:2: unknown key 'frams'"
+
 
 class TestBuildConfig:
     def test_ntx_implied_by_scheme(self):
@@ -235,6 +261,20 @@ class TestMain:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error:")
+
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("scheme=scck2\nnrx=2\nebn0=inf\nframs=1\n")
+        rc = main(["--config", str(cfg_file)])
+        assert rc == 1
+        assert "unknown key 'frams'" in capsys.readouterr().err
+
+    def test_zero_workers_exit_1(self, capsys):
+        rc = main(["--scheme", "scck2", "--nrx", "2", "--ebn0", "inf",
+                   "--frames", "1", "--symbols-per-frame", "1", "--nsub", "32",
+                   "--cp", "4", "--workers", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: worker count")
 
     def test_missing_scheme_exits_1(self):
         assert main(["--nrx", "2", "--ebn0", "10"]) == 1
