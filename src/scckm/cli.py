@@ -89,9 +89,15 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key != "config" and value is not None:
             settings[key] = value
+    # flags arrive as ints from argparse; strings come from the config file
     for key in _INT_KEYS:
-        if key in settings and settings[key] is not None:
-            settings[key] = int(settings[key])
+        value = settings.get(key)
+        if isinstance(value, str):
+            try:
+                settings[key] = int(value)
+            except ValueError:
+                raise ValueError(f"{args.config}: key {key!r} expects an integer, "
+                                 f"got {value!r}") from None
     if isinstance(settings.get("ebn0"), str):
         settings["ebn0"] = parse_ebn0(settings["ebn0"])
     return settings

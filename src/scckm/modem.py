@@ -4,8 +4,11 @@ SCCKM places one codeword per subcarrier with its N chips spread across N
 transmit antennas, scaled by 1/sqrt(N_t) so total transmit energy per
 subcarrier is 1.  SM activates a single antenna per subcarrier: the leading
 log2(N_t) bits pick the antenna (natural binary), the rest pick a unit-energy
-constellation point (Gray labeled).  Detection is exhaustive minimum squared
-Euclidean distance with ties resolved to the lowest index.
+constellation point (Gray labeled).  Zero forcing solves the normal
+equations of every subcarrier in one batch and falls back to the
+pseudo-inverse where the Gram matrix is ill-conditioned.  Detection is
+exhaustive minimum squared Euclidean distance with ties resolved to the
+lowest index.
 """
 
 from __future__ import annotations
@@ -94,23 +97,62 @@ def zf_equalize(received: np.ndarray, h_k: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(h_k, rcond=ZF_RCOND) @ np.asarray(received)
 
 
+def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
+    """Flag each Gram matrix of a stack whose Cholesky factorization fails or
+    whose smallest pivot |L_ii|^2 is below ZF_RCOND times its largest."""
+    try:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        # numpy rejects the whole stack, so find the failures one at a time
+        if len(gram) == 1:
+            return np.ones(1, dtype=bool)
+        return np.concatenate([_ill_conditioned(g[None]) for g in gram])
+    pivots = np.diagonal(factor, axis1=1, axis2=2).real ** 2
+    return pivots.min(axis=1) < ZF_RCOND * pivots.max(axis=1)
+
+
 def zf_equalize_grid(received: np.ndarray, hk: np.ndarray) -> np.ndarray:
-    """Batched ZF: received (n_sub, n_rx), hk (n_sub, n_rx, n_tx) -> (n_sub, n_tx)."""
+    """Batched ZF: received (n_sub, n_rx), hk (n_sub, n_rx, n_tx) -> (n_sub, n_tx).
+
+    Solves the normal equations (H^H H) x = H^H y on every subcarrier in one
+    batch.  A subcarrier whose Gram matrix fails the Cholesky test of
+    _ill_conditioned goes through the pseudo-inverse of zf_equalize instead,
+    so a rank-deficient channel still gets the truncated least-squares answer.
+    """
+    received = np.asarray(received)
     if hk.shape[1] < hk.shape[2]:
         raise ValueError(f"need n_rx >= n_tx, got channel shape {hk.shape[1:]}")
-    pinv = np.linalg.pinv(hk, rcond=ZF_RCOND)  # (n_sub, n_tx, n_rx)
-    return np.einsum("kij,kj->ki", pinv, received)
+    hk_h = np.conj(np.swapaxes(hk, 1, 2))
+    gram = hk_h @ hk
+    rhs = hk_h @ received[:, :, None]
+    bad = _ill_conditioned(gram)
+    gram[bad] = np.eye(hk.shape[2])  # placeholder, so the batched solve cannot fail
+    equalized = np.linalg.solve(gram, rhs)[:, :, 0]
+    if bad.any():
+        pinv = np.linalg.pinv(hk[bad], rcond=ZF_RCOND)
+        equalized[bad] = np.einsum("kij,kj->ki", pinv, received[bad])
+    return equalized
 
 
 def ml_detect_scck_grid(equalized: np.ndarray, codebook: Codebook) -> ScckDetection:
-    """Closest power-normalized codeword per row of an (n_sub, N_t) grid."""
-    normalized = codebook.entries / math.sqrt(codebook.length_n)
-    z = np.asarray(equalized)
-    d2 = np.sum(np.abs(z[:, None, :] - normalized[None, :, :]) ** 2, axis=2)
-    indices = np.argmin(d2, axis=1)
+    """Closest power-normalized codeword per row of an (n_sub, N_t) grid.
+
+    ||z - c||^2 = ||z||^2 - score with score = 2 Re(z c^H) - ||c||^2, so the
+    search is one real GEMM over the interleaved real/imaginary parts.  argmax
+    takes the first maximum, so ties resolve to the lowest codeword index.
+    """
+    normalized = (np.asarray(codebook.entries, dtype=np.complex128)
+                  / math.sqrt(codebook.length_n))
+    z = np.ascontiguousarray(equalized, dtype=np.complex128)
+    # Re(z c^H) as a dot product of the float64 views, doubled exactly
+    twice = 2.0 * normalized.view(np.float64)
+    score = z.view(np.float64) @ twice.T
+    score -= np.sum(np.abs(normalized) ** 2, axis=1)
+    indices = np.argmax(score, axis=1)
     bits = unpack_bits(indices, codebook.bits_per_codeword)
+    offset = np.sum(np.abs(z) ** 2, axis=1)
     return ScckDetection(indices=indices, bits=bits,
-                         distances=d2[np.arange(len(indices)), indices])
+                         distances=offset - score[np.arange(len(indices)), indices])
 
 
 def ml_detect_sm_equalized_grid(equalized: np.ndarray, n_tx: int,

@@ -73,6 +73,19 @@ class TestZeroForcing:
         for k in range(8):
             assert np.max(np.abs(batched[k] - zf_equalize(r[k], hk[k]))) < 1e-10
 
+    def test_grid_falls_back_on_rank_deficient_subcarrier(self):
+        # a plain normal-equations solve returns a wrong finite answer on
+        # subcarrier 5 without raising; the Cholesky test sends it to the
+        # pseudo-inverse instead
+        rng = np.random.default_rng(5)
+        hk = rng.normal(size=(8, 16, 8)) + 1j * rng.normal(size=(8, 16, 8))
+        hk[5, :, 3] = 0.3 * hk[5, :, 1]
+        r = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
+        batched = zf_equalize_grid(r, hk)
+        assert np.all(np.isfinite(batched))
+        for k in range(8):
+            assert np.max(np.abs(batched[k] - zf_equalize(r[k], hk[k]))) < 1e-10
+
     def test_degenerate_channel_still_returns(self):
         # rank-deficient matrices go through the truncated pseudo-inverse
         h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -83,14 +96,16 @@ class TestZeroForcing:
 class TestScckDetection:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
-        cb = cck4_reference_codebook()
-        z = rng.normal(size=(32, 4)) + 1j * rng.normal(size=(32, 4))
-        det = ml_detect_scck_grid(z, cb)
-        scaled = cb.entries / 2.0
-        for k in range(32):
-            d2 = np.sum(np.abs(z[k] - scaled) ** 2, axis=1)
-            assert det.indices[k] == np.argmin(d2)
-            assert abs(det.distances[k] - d2.min()) < 1e-9
+        for cb in (cck2_codebook(), cck4_reference_codebook(), cck8_codebook()):
+            scaled = cb.entries / np.sqrt(cb.length_n)
+            sent = rng.integers(0, len(cb), size=64)
+            noise = rng.normal(size=(64, cb.length_n)) + 1j * rng.normal(size=(64, cb.length_n))
+            z = scaled[sent] + 0.3 * noise
+            det = ml_detect_scck_grid(z, cb)
+            for k in range(64):
+                d2 = np.sum(np.abs(z[k] - scaled) ** 2, axis=1)
+                assert det.indices[k] == np.argmin(d2)
+                assert abs(det.distances[k] - d2.min()) < 1e-9
 
     def test_noiseless_exact(self):
         cb = cck8_codebook()

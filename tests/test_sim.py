@@ -269,6 +269,14 @@ class TestMain:
         assert rc == 1
         assert "unknown key 'frams'" in capsys.readouterr().err
 
+    def test_non_integer_config_value_exits_1(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("scheme=scck2\nnrx=2\nebn0=inf\nframes = ten\n")
+        rc = main(["--config", str(cfg_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}: key 'frames' expects an integer, got 'ten'\n")
+
     def test_zero_workers_exit_1(self, capsys):
         rc = main(["--scheme", "scck2", "--nrx", "2", "--ebn0", "inf",
                    "--frames", "1", "--symbols-per-frame", "1", "--nsub", "32",
