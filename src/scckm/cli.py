@@ -8,6 +8,7 @@ inclusive start:step:stop range ("0:2:10").  Output goes to --out or stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .ofdm import OfdmParams
@@ -26,6 +27,8 @@ def parse_ebn0(text: str) -> tuple:
         if len(parts) != 3:
             raise ValueError(f"expected start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError(f"ebn0 range needs finite start:step:stop, got {text!r}")
         if step <= 0:
             raise ValueError(f"ebn0 step must be positive, got {step}")
         count = int(round((stop - start) / step)) + 1

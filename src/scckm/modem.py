@@ -1,14 +1,16 @@
 """Transmit mapping, zero-forcing equalization and ML detection per subcarrier.
 
-SCCKM places one codeword per subcarrier with its N chips spread across N
-transmit antennas, scaled by 1/sqrt(N_t) so total transmit energy per
-subcarrier is 1.  SM activates a single antenna per subcarrier: the leading
-log2(N_t) bits pick the antenna (natural binary), the rest pick a unit-energy
-constellation point (Gray labeled).  Zero forcing solves the normal
-equations of every subcarrier in one batch and falls back to the
-pseudo-inverse where the Gram matrix is ill-conditioned.  Detection is
-exhaustive minimum squared Euclidean distance with ties resolved to the
-lowest index.
+Both schemes send one row of a unit-energy transmit table per subcarrier;
+the bits, read as a number with the first bit most significant, pick the row.
+SCCKM's table is its codebook scaled by 1/sqrt(N_t), one chip per transmit
+antenna.  SM's table holds each constellation point on each single antenna:
+the leading log2(N_t) bits pick the antenna (natural binary), the rest pick a
+unit-energy point (Gray labeled).  Zero forcing solves the normal equations
+of every subcarrier in one batch and falls back to the pseudo-inverse where
+the Gram matrix is ill-conditioned.  Detection is one exhaustive minimum
+squared Euclidean distance search over the table rows, a single GEMM for both
+schemes, with ties resolved to the lowest row: the lowest codeword index, or
+the lowest antenna and then the lowest point label.
 """
 
 from __future__ import annotations
@@ -51,37 +53,40 @@ def _check_bits(bits: np.ndarray, rows: int) -> np.ndarray:
     return bits
 
 
-def _constellation(name) -> np.ndarray:
-    if isinstance(name, str):
-        try:
-            return CONSTELLATIONS[name.lower()]
-        except KeyError:
-            raise ValueError(f"unknown constellation {name!r}") from None
-    return np.asarray(name, dtype=np.complex128)
+def _scck_table(codebook: Codebook) -> np.ndarray:
+    """Transmit table of a codebook: row i is codeword i at unit energy."""
+    return np.asarray(codebook.entries, dtype=np.complex128) / math.sqrt(codebook.length_n)
+
+
+def _sm_table(n_tx: int, constellation: str) -> np.ndarray:
+    """Transmit table of SM: row a*M + l puts point l on antenna a, so the row
+    index is the antenna bits followed by the label bits."""
+    n_tx = int(n_tx)
+    if n_tx < 2 or n_tx & (n_tx - 1):
+        raise ValueError(f"transmit antenna count must be a power of two >= 2, got {n_tx}")
+    if constellation not in CONSTELLATIONS:
+        raise ValueError(f"unknown constellation {constellation!r}")
+    points = CONSTELLATIONS[constellation]
+    table = np.zeros((n_tx, len(points), n_tx), dtype=np.complex128)
+    antennas = np.arange(n_tx)
+    table[antennas, :, antennas] = points
+    return table.reshape(-1, n_tx)
+
+
+def _map(bits: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Map an (m, n_sub) bit matrix to the (n_tx, n_sub) grid of table rows."""
+    bits = _check_bits(bits, len(table).bit_length() - 1)
+    return table[pack_bits(bits)].T
 
 
 def scck_map(bits: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Map an (m, n_sub) bit matrix to an (N_t, n_sub) symbol grid."""
-    bits = _check_bits(bits, codebook.bits_per_codeword)
-    indices = pack_bits(bits)
-    return codebook.entries[indices].T / math.sqrt(codebook.length_n)
+    return _map(bits, _scck_table(codebook))
 
 
-def sm_map(bits: np.ndarray, n_tx: int, constellation) -> np.ndarray:
+def sm_map(bits: np.ndarray, n_tx: int, constellation: str) -> np.ndarray:
     """Map bits to a single active antenna plus constellation point per column."""
-    n_tx = int(n_tx)
-    if n_tx < 2 or n_tx & (n_tx - 1):
-        raise ValueError(f"transmit antenna count must be a power of two >= 2, got {n_tx}")
-    points = _constellation(constellation)
-    ant_bits = n_tx.bit_length() - 1
-    sym_bits = len(points).bit_length() - 1
-    bits = _check_bits(bits, ant_bits + sym_bits)
-    antennas = pack_bits(bits[:ant_bits])
-    labels = pack_bits(bits[ant_bits:])
-    n_sub = bits.shape[1]
-    grid = np.zeros((n_tx, n_sub), dtype=np.complex128)
-    grid[antennas, np.arange(n_sub)] = points[labels]
-    return grid
+    return _map(bits, _sm_table(n_tx, constellation))
 
 
 def zf_equalize(received: np.ndarray, h_k: np.ndarray) -> np.ndarray:
@@ -134,53 +139,44 @@ def zf_equalize_grid(received: np.ndarray, hk: np.ndarray) -> np.ndarray:
     return equalized
 
 
-def ml_detect_scck_grid(equalized: np.ndarray, codebook: Codebook) -> ScckDetection:
-    """Closest power-normalized codeword per row of an (n_sub, N_t) grid.
+def _ml_search(equalized: np.ndarray, table: np.ndarray):
+    """Closest table row to each row of an (n_sub, n_tx) grid: (indices, distances).
 
     ||z - c||^2 = ||z||^2 - score with score = 2 Re(z c^H) - ||c||^2, so the
     search is one real GEMM over the interleaved real/imaginary parts.  argmax
-    takes the first maximum, so ties resolve to the lowest codeword index.
+    takes the first maximum, so ties resolve to the lowest row index.
     """
-    normalized = (np.asarray(codebook.entries, dtype=np.complex128)
-                  / math.sqrt(codebook.length_n))
     z = np.ascontiguousarray(equalized, dtype=np.complex128)
+    if z.ndim != 2 or z.shape[1] != table.shape[1]:
+        raise ValueError(
+            f"equalized grid must be (n_sub, {table.shape[1]}), got {z.shape}")
     # Re(z c^H) as a dot product of the float64 views, doubled exactly
-    twice = 2.0 * normalized.view(np.float64)
+    twice = 2.0 * table.view(np.float64)
     score = z.view(np.float64) @ twice.T
-    score -= np.sum(np.abs(normalized) ** 2, axis=1)
+    score -= np.sum(np.abs(table) ** 2, axis=1)
     indices = np.argmax(score, axis=1)
-    bits = unpack_bits(indices, codebook.bits_per_codeword)
     offset = np.sum(np.abs(z) ** 2, axis=1)
-    return ScckDetection(indices=indices, bits=bits,
-                         distances=offset - score[np.arange(len(indices)), indices])
+    return indices, offset - score[np.arange(len(indices)), indices]
+
+
+def ml_detect_scck_grid(equalized: np.ndarray, codebook: Codebook) -> ScckDetection:
+    """Closest power-normalized codeword per row of an (n_sub, N_t) grid."""
+    indices, distances = _ml_search(equalized, _scck_table(codebook))
+    return ScckDetection(indices=indices, distances=distances,
+                         bits=unpack_bits(indices, codebook.bits_per_codeword))
 
 
 def ml_detect_sm_equalized_grid(equalized: np.ndarray, n_tx: int,
-                                constellation) -> SmDetection:
+                                constellation: str) -> SmDetection:
     """SM detection on the equalized grid: argmin ||z - s*e_a||^2.
 
     equalized is (n_sub, n_tx), one zero-forced stream per transmit antenna.
-    The hypothesis for (antenna a, point s) puts s on stream a and zero on the
-    rest, so only |z_a - s|^2 - |z_a|^2 varies across hypotheses.  Reported
-    distances are the full squared distances ||z - s*e_a||^2.  The BER harness
-    uses this detector so both schemes share one equalize-then-detect chain.
+    The hypotheses are the rows of the SM transmit table, antenna-major, so
+    ties resolve to the lower antenna, then the lower point label.
     """
-    equalized = np.asarray(equalized)
-    if equalized.ndim != 2 or equalized.shape[1] != n_tx:
-        raise ValueError(
-            f"equalized grid must be (n_sub, {n_tx}), got {equalized.shape}")
-    points = _constellation(constellation)
-    # |z_a - s|^2 - |z_a|^2 per (subcarrier, antenna, point), antenna-major so
-    # ties resolve to the lower antenna, then the lower point label
-    dr = equalized.real[:, :, None] - points.real[None, None, :]
-    di = equalized.imag[:, :, None] - points.imag[None, None, :]
-    zp = equalized.real * equalized.real + equalized.imag * equalized.imag
-    metric = ((dr * dr + di * di) - zp[:, :, None]).reshape(len(equalized), -1)
-    best = np.argmin(metric, axis=1)
-    ant, labels = best // len(points), best % len(points)
-    offset = np.sum(np.abs(equalized) ** 2, axis=1)
-    ant_bits = int(n_tx).bit_length() - 1
-    sym_bits = len(points).bit_length() - 1
-    bits = np.vstack([unpack_bits(ant, ant_bits), unpack_bits(labels, sym_bits)])
-    return SmDetection(antennas=ant, labels=labels, bits=bits,
-                       distances=metric[np.arange(len(best)), best] + offset)
+    table = _sm_table(n_tx, constellation)
+    indices, distances = _ml_search(equalized, table)
+    n_points = len(table) // int(n_tx)
+    return SmDetection(antennas=indices // n_points, labels=indices % n_points,
+                       bits=unpack_bits(indices, len(table).bit_length() - 1),
+                       distances=distances)

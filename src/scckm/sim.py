@@ -10,8 +10,8 @@ CSV output byte-identical across thread counts.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -77,6 +77,8 @@ class SimConfig:
             raise ValueError(
                 f"zero forcing needs n_rx >= n_tx, got {self.n_rx} < {self.n_tx}"
             )
+        if isinstance(self.ebn0_db, str):
+            raise ValueError(f"ebn0 must be a sequence of numbers, got {self.ebn0_db!r}")
         if not self.ebn0_db:
             raise ValueError("ebn0 list must be non-empty")
         for e in self.ebn0_db:
@@ -187,31 +189,20 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     limit = config.max_bit_errors
     errors = 0
     frames_run = 0
-    if workers == 1:
-        for frame in range(config.frames):
-            errors += _run_frame(config, ops, frame, n0)
+    # frames may finish out of order, but pool.map yields their counts in frame
+    # order, so worker count cannot change the counts
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        run = functools.partial(_run_frame, config, ops, n0=n0)
+        frames = range(config.frames)
+        for frame_errors in map(run, frames) if workers == 1 else pool.map(run, frames):
+            errors += frame_errors
             frames_run += 1
             if limit is not None and errors >= limit:
                 break
-    else:
-        # frames may finish out of order, but results are consumed strictly in
-        # frame order so worker count cannot change the counts
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            window = 4 * workers
-            pending: deque = deque()
-            submitted = 0
-            while submitted < config.frames or pending:
-                while submitted < config.frames and len(pending) < window:
-                    pending.append(
-                        pool.submit(_run_frame, config, ops, submitted, n0)
-                    )
-                    submitted += 1
-                errors += pending.popleft().result()
-                frames_run += 1
-                if limit is not None and errors >= limit:
-                    for fut in pending:
-                        fut.cancel()
-                    break
+    finally:
+        # frames not yet started are dropped instead of run on the way out
+        pool.shutdown(cancel_futures=True)
     bits = frames_run * config.symbols_per_frame * config.ofdm.n_sub \
         * config.bits_per_subcarrier
     return BerPoint(ebn0_db=float(ebn0_db), bits_simulated=bits,

@@ -39,8 +39,11 @@ class TestMapping:
         assert np.allclose(grid[0], QAM4[[0, 1, 2, 3]])
 
     def test_sm_map_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
+        # the mapper and the detector share one SM table, and so one check
+        with pytest.raises(ValueError, match="power of two"):
             sm_map(np.array([[0], [0]]), 3, "bpsk")
+        with pytest.raises(ValueError, match="power of two"):
+            ml_detect_sm_equalized_grid(np.zeros((2, 3), dtype=complex), 3, "bpsk")
 
     def test_constellation_energy(self):
         assert np.allclose(np.abs(BPSK), 1.0)
@@ -124,18 +127,20 @@ class TestScckDetection:
 class TestSmDetection:
     def test_equalized_matches_brute_force(self):
         rng = np.random.default_rng(8)
-        z = rng.normal(size=(32, 4)) + 1j * rng.normal(size=(32, 4))
-        det = ml_detect_sm_equalized_grid(z, 4, "4qam")
-        for k in range(32):
-            cands = []
-            for a in range(4):
-                for s in range(4):
-                    hyp = np.zeros(4, dtype=complex)
-                    hyp[a] = QAM4[s]
-                    cands.append(((a, s), np.sum(np.abs(z[k] - hyp) ** 2)))
-            (a, s), d = min(cands, key=lambda c: c[1])
-            assert (det.antennas[k], det.labels[k]) == (a, s)
-            assert abs(det.distances[k] - d) < 1e-9
+        for n_tx, name in ((2, "bpsk"), (8, "bpsk"), (4, "4qam")):
+            points = BPSK if name == "bpsk" else QAM4
+            z = rng.normal(size=(32, n_tx)) + 1j * rng.normal(size=(32, n_tx))
+            det = ml_detect_sm_equalized_grid(z, n_tx, name)
+            for k in range(32):
+                cands = []
+                for a in range(n_tx):
+                    for s in range(len(points)):
+                        hyp = np.zeros(n_tx, dtype=complex)
+                        hyp[a] = points[s]
+                        cands.append(((a, s), np.sum(np.abs(z[k] - hyp) ** 2)))
+                (a, s), d = min(cands, key=lambda c: c[1])
+                assert (det.antennas[k], det.labels[k]) == (a, s)
+                assert abs(det.distances[k] - d) < 1e-9
 
     def test_equalized_noiseless_exact(self):
         z = np.zeros((4, 4), dtype=complex)

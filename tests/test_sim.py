@@ -1,10 +1,16 @@
 """Sweep engine: configuration, accounting, determinism, CSV and CLI."""
 
 import io
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import scckm
+from scckm import sim
 from scckm.cli import build_config, main, parse_ebn0, read_config_file
 from scckm.ofdm import OfdmParams
 from scckm.sim import (SimConfig, canonical_config_string, emit_csv,
@@ -36,6 +42,11 @@ class TestSimConfig:
             small_config(ebn0_db=(float("nan"),))
         with pytest.raises(ValueError):
             small_config(ebn0_db=(float("-inf"),))
+
+    def test_rejects_string_ebn0(self):
+        # a string is a sequence too: "10" would run points at 1 dB and 0 dB
+        with pytest.raises(ValueError, match="ebn0"):
+            small_config(ebn0_db="10")
 
     def test_taps_must_fit_in_prefix(self):
         with pytest.raises(ValueError):
@@ -86,7 +97,7 @@ class TestRunPoint:
         cfg = small_config(frames=12, ebn0_db=(3.0,))
         assert run_point(cfg, 3.0, workers=1) == run_point(cfg, 3.0, workers=4)
 
-    def test_early_stop_counts_whole_frames(self):
+    def test_early_stop_counts_whole_frames(self, monkeypatch):
         cfg = small_config(scheme="scck2", frames=50, ebn0_db=(0.0,),
                            max_bit_errors=30)
         pt = run_point(cfg, 0.0)
@@ -94,6 +105,17 @@ class TestRunPoint:
         assert pt.bit_errors >= 30
         assert pt.bits_simulated % frame_bits == 0
         assert pt.bits_simulated < 50 * frame_bits
+        # a pool stops at the same frame, and starts few frames past it
+        calls = []
+        run_frame = sim._run_frame
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_frame(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "_run_frame", counted)
+        assert run_point(cfg, 0.0, workers=4) == pt
+        assert len(calls) <= pt.bits_simulated // frame_bits + 4 * 4
 
     def test_workers_below_one_rejected(self):
         for workers in (0, -5):
@@ -113,6 +135,26 @@ class TestRunPoint:
                            ebn0_db=(0.0,))
         pt = run_point(cfg, 0.0)
         assert (pt.bits_simulated, pt.bit_errors) == expected
+
+    def test_runs_with_numpy_alone(self):
+        # scipy is a test dependency only; the simulator must not import it
+        src = os.path.dirname(os.path.dirname(scckm.__file__))
+        script = textwrap.dedent(f"""
+            import sys
+            sys.modules["scipy"] = None
+            sys.path.insert(0, {src!r})
+            from scckm.ofdm import OfdmParams
+            from scckm.sim import SimConfig, run_point
+            for scheme, n_tx in (("scck2", 2), ("sm-bpsk", 2)):
+                cfg = SimConfig(scheme=scheme, n_tx=n_tx, n_rx=2, ebn0_db=(4.0,),
+                                frames=1, seed=1, symbols_per_frame=1,
+                                ofdm=OfdmParams(n_sub=32, cp_len=4))
+                print(run_point(cfg, 4.0).bits_simulated)
+        """)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["64", "64"]
 
     def test_sm_scheme_runs(self):
         cfg = small_config(scheme="sm-bpsk", n_tx=2, n_rx=4, ebn0_db=(6.0,))
@@ -176,7 +218,8 @@ class TestParseEbn0:
     def test_comma_list_with_inf(self):
         assert parse_ebn0("1,3.5,inf") == (1.0, 3.5, float("inf"))
 
-    @pytest.mark.parametrize("bad", ["", "0:0:4", "0:2", "a,b"])
+    @pytest.mark.parametrize("bad", ["", "0:0:4", "0:2", "a,b",
+                                     "0:2:inf", "nan:1:2", "0:inf:10"])
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_ebn0(bad)
@@ -283,6 +326,12 @@ class TestMain:
                    "--cp", "4", "--workers", "0"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: worker count")
+
+    def test_infinite_ebn0_range_exits_1(self, capsys):
+        rc = main(["--scheme", "scck2", "--nrx", "2", "--ebn0", "0:2:inf"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ebn0 range needs finite start:step:stop, got '0:2:inf'\n")
 
     def test_missing_scheme_exits_1(self):
         assert main(["--nrx", "2", "--ebn0", "10"]) == 1
