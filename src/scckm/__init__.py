@@ -4,9 +4,9 @@ from .cck import (Codebook, cck2_codebook, cck4_enumerate,
                   cck4_reference_codebook, cck8_codebook, cck8_codeword,
                   dmin_closed_form, export_codebook_csv, golay_pair,
                   min_distance, select_cck4_subset)
-from .channel import ChannelRealization, apply_channel, freq_response, generate_channel
-from .modem import (ml_detect_scck_grid, ml_detect_sm_equalized_grid, scck_map,
-                    sm_map, zf_equalize, zf_equalize_grid)
+from .channel import apply_channel, freq_response, generate_channel
+from .modem import (Detection, ml_detect_scck_grid, ml_detect_sm_equalized_grid,
+                    scck_map, sm_map, zf_equalize, zf_equalize_grid)
 from .ofdm import OfdmParams, ofdm_demodulate, ofdm_modulate
 from .sim import (BerCurve, BerPoint, SimConfig, emit_csv, run_point,
                   run_sweep)
@@ -14,7 +14,7 @@ from .sim import (BerCurve, BerPoint, SimConfig, emit_csv, run_point,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BerCurve", "BerPoint", "ChannelRealization", "Codebook", "OfdmParams",
+    "BerCurve", "BerPoint", "Codebook", "Detection", "OfdmParams",
     "SimConfig", "apply_channel", "cck2_codebook", "cck4_enumerate",
     "cck4_reference_codebook", "cck8_codebook", "cck8_codeword",
     "dmin_closed_form", "emit_csv", "export_codebook_csv", "freq_response",

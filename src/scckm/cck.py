@@ -1,9 +1,10 @@
 """Complementary-code-keying codebooks of lengths 2, 4 and 8.
 
 Codewords are polyphase: every chip is a unit-magnitude complex exponential
-whose phase is a sum of per-bit-group phases.  All constructions below work on
-integer phase indices and exact unit-root lookup tables, so chips that are
-mathematically integers (or Gaussian integers) come out bit-exact.
+whose phase is a sum of per-bit-group phases.  One rule, _cck_chips, builds
+all three lengths from integer phase indices, exact unit-root lookup tables
+and the signs of the first Golay sequence, so chips that are mathematically
+integers (or Gaussian integers) come out bit-exact.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import product
 
 import numpy as np
 
@@ -25,7 +26,7 @@ _THIRD_UNITS = np.array(
 _QUARTER_UNITS = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 
 # 2-bit group -> phase in units of pi/2: 00 -> 0, 01 -> pi, 10 -> pi/2, 11 -> -pi/2
-_GROUP_QUARTER_PHASE = {(0, 0): 0, (0, 1): 2, (1, 0): 1, (1, 1): 3}
+_GROUP_QUARTER_PHASE = np.array([[0, 2], [1, 3]])
 
 
 @dataclass(frozen=True)
@@ -88,36 +89,34 @@ def golay_pair(k: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _cck_chips(phases: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Length-N codewords, N = 2**(k-1), from (rows, k) phase indices.
+
+    Chip j is units[(phi1 + sum_i phi_{i+2} * bit_i(N-1-j)) mod M] with M =
+    len(units), negated where the first sequence of golay_pair(k) is -1.
+    """
+    phases = np.asarray(phases, dtype=np.int64)
+    k = phases.shape[1]
+    n = 2 ** (k - 1)
+    # row i holds bit i of N-1-j for every chip j
+    selects = unpack_bits(np.arange(n - 1, -1, -1), k - 1)[::-1]
+    chips = units[(phases[:, 0:1] + phases[:, 1:] @ selects) % len(units)]
+    negated = golay_pair(k)[0] < 0
+    # unary minus, unlike * -1, turns a zero imaginary part into -0.0
+    chips[:, negated] = -chips[:, negated]
+    return chips
+
+
 def cck2_codebook() -> Codebook:
     """Four 2-bit codewords (e^{j(phi1+phi2)}, e^{j phi1}), bit 1 -> phase pi."""
-    entries = np.empty((4, 2), dtype=np.complex128)
-    for idx in range(4):
-        b1, b0 = (idx >> 1) & 1, idx & 1  # first written bit -> phi1
-        entries[idx, 0] = _HALF_UNITS[(b1 + b0) % 2]
-        entries[idx, 1] = _HALF_UNITS[b1]
-    return Codebook(length_n=2, bits_per_codeword=2, entries=entries)
-
-
-def _cck4_from_phase_triples(triples: np.ndarray) -> np.ndarray:
-    """Length-4 codewords from phase indices in units of 2pi/3.
-
-    Chips: (e^{j(p1+p2+p3)}, e^{j(p1+p3)}, e^{j(p1+p2)}, -e^{j p1}).
-    """
-    p1, p2, p3 = triples[:, 0], triples[:, 1], triples[:, 2]
-    out = np.empty((len(triples), 4), dtype=np.complex128)
-    out[:, 0] = _THIRD_UNITS[(p1 + p2 + p3) % 3]
-    out[:, 1] = _THIRD_UNITS[(p1 + p3) % 3]
-    out[:, 2] = _THIRD_UNITS[(p1 + p2) % 3]
-    out[:, 3] = -_THIRD_UNITS[p1 % 3]
-    return out
+    phases = unpack_bits(np.arange(4), 2).T  # first written bit -> phi1
+    return Codebook(length_n=2, bits_per_codeword=2,
+                    entries=_cck_chips(phases, _HALF_UNITS))
 
 
 def cck4_enumerate() -> np.ndarray:
     """All 27 length-4 codewords, phase triples in lexicographic order."""
-    grid = np.array(
-        [(p1, p2, p3) for p1 in range(3) for p2 in range(3) for p3 in range(3)]
-    )
-    return _cck4_from_phase_triples(grid)
+    return _cck_chips(np.array(list(product(range(3), repeat=3))), _THIRD_UNITS)
 
 
 # Phase triples (units of 2pi/3) of the fixed 16-row reference matrix, row order
@@ -134,23 +133,22 @@ _CCK4_REFERENCE_TRIPLES = np.array(
 
 def cck4_reference_codebook() -> Codebook:
     """The fixed sub-optimum 16-entry 4-bit codebook."""
-    entries = _cck4_from_phase_triples(_CCK4_REFERENCE_TRIPLES)
+    entries = _cck_chips(_CCK4_REFERENCE_TRIPLES, _THIRD_UNITS)
     return Codebook(length_n=4, bits_per_codeword=4, entries=entries)
 
 
-def _pairwise_sq_distances(entries: np.ndarray) -> np.ndarray:
-    """Condensed vector of squared chip-wise distances over unordered pairs."""
+def _sq_distances(entries: np.ndarray) -> np.ndarray:
+    """Squared chip-wise distances between every pair of rows, (rows, rows)."""
     diff = entries[:, None, :] - entries[None, :, :]
-    d2 = np.sum(np.abs(diff) ** 2, axis=-1)
-    iu = np.triu_indices(len(entries), k=1)
-    return d2[iu]
+    return np.sum(np.abs(diff) ** 2, axis=-1)
 
 
 def min_distance(codebook: Codebook) -> float:
     """Minimum chip-wise Euclidean distance over all unordered codeword pairs."""
     if len(codebook) < 2:
         raise ValueError("min distance needs at least 2 codewords")
-    return float(np.sqrt(np.min(_pairwise_sq_distances(codebook.entries))))
+    d2 = _sq_distances(codebook.entries)
+    return float(np.sqrt(np.min(d2[np.triu_indices(len(d2), k=1)])))
 
 
 def dmin_closed_form(n: int, m: int) -> float:
@@ -164,77 +162,54 @@ def dmin_closed_form(n: int, m: int) -> float:
 
 
 def select_min_distance_subset(candidates: np.ndarray, subset_size: int,
-                               num_random_subsets: int | None = None,
-                               rng: np.random.Generator | None = None):
+                               num_random_subsets: int,
+                               rng: np.random.Generator):
     """Three-stage subset search over candidate codewords.
 
-    Stage 1 draws num_random_subsets distinct subsets uniformly (or enumerates
-    every subset when num_random_subsets is None).  Stage 2 keeps the subsets
-    maximizing the minimum pairwise chip distance; stage 3 keeps those with the
-    fewest pairs at that minimum.  Remaining ties break to the
-    lexicographically smallest sorted index tuple.  Returns the index tuple.
+    Stage 1 draws min(num_random_subsets, C(n, subset_size)) distinct subsets
+    uniformly, so asking for at least C(n, subset_size) draws every subset.
+    Stage 2 keeps the subsets maximizing the minimum pairwise chip distance;
+    stage 3 keeps those with the fewest pairs at that minimum.  Remaining ties
+    break to the lexicographically smallest sorted index tuple.  Returns the
+    index tuple.
     """
     candidates = np.asarray(candidates)
     n = len(candidates)
     if subset_size < 2 or subset_size > n:
         raise ValueError(f"subset size {subset_size} out of range for {n} candidates")
+    if num_random_subsets < 1:
+        raise ValueError("number of random subsets must be >= 1")
 
     # squared distances, quantized so symbolically equal values compare equal
-    diff = candidates[:, None, :] - candidates[None, :, :]
-    d2 = np.round(np.sum(np.abs(diff) ** 2, axis=-1), 9)
+    d2 = np.round(_sq_distances(candidates), 9)
 
-    if num_random_subsets is None:
-        pool = combinations(range(n), subset_size)
-    else:
-        if num_random_subsets < 1:
-            raise ValueError("number of random subsets must be >= 1")
-        if rng is None:
-            raise ValueError("random sampling requires an rng")
-        target = min(num_random_subsets, math.comb(n, subset_size))
-        seen = set()
-        while len(seen) < target:
-            seen.add(tuple(sorted(rng.choice(n, size=subset_size, replace=False))))
-        pool = iter(sorted(seen))
+    target = min(num_random_subsets, math.comb(n, subset_size))
+    seen = set()
+    while len(seen) < target:
+        seen.add(tuple(sorted(rng.choice(n, size=subset_size, replace=False))))
+    subsets = np.array(sorted(seen), dtype=np.intp)
 
     pair_i, pair_j = np.triu_indices(subset_size, k=1)
-    best = None  # (min pair d2, count at that min, index tuple)
-    while True:
-        chunk = np.array(list(islice(pool, 100_000)), dtype=np.intp)
-        if chunk.size == 0:
-            break
-        sub = d2[chunk[:, pair_i], chunk[:, pair_j]]  # (chunk, pairs)
-        dmin = sub.min(axis=1)
-        counts = np.count_nonzero(sub == dmin[:, None], axis=1)
-        top = dmin.max()
-        at_top = np.flatnonzero(dmin == top)
-        fewest = counts[at_top].min()
-        cand = (top, int(fewest),
-                min(tuple(int(v) for v in chunk[i])
-                    for i in at_top if counts[i] == fewest))
-        if best is None:
-            best = cand
-            continue
-        if (cand[0] > best[0]
-                or (cand[0] == best[0] and cand[1] < best[1])
-                or (cand[0] == best[0] and cand[1] == best[1]
-                    and cand[2] < best[2])):
-            best = cand
-    return best[2]
+    sub = d2[subsets[:, pair_i], subsets[:, pair_j]]  # (subsets, pairs)
+    dmin = sub.min(axis=1)
+    counts = np.count_nonzero(sub == dmin[:, None], axis=1)
+    # largest minimum first, then fewest pairs at it; the stable sort keeps
+    # the sorted subset order among the rest
+    best = np.lexsort((counts, -dmin))[0]
+    return tuple(int(v) for v in subsets[best])
 
 
 def select_cck4_subset(candidates: np.ndarray, num_random_subsets: int,
                        rng: np.random.Generator) -> Codebook:
     """Randomized search for a 16-of-27 subset maximizing minimum distance."""
     candidates = np.asarray(candidates)
-    if num_random_subsets < 1:
-        raise ValueError("number of random subsets must be >= 1")
     idx = select_min_distance_subset(candidates, 16, num_random_subsets, rng)
     return Codebook(length_n=4, bits_per_codeword=4,
                     entries=candidates[list(idx)].copy())
 
 
 def cck8_codeword(byte: str) -> np.ndarray:
-    """Length-8 codeword for an 8-bit string.
+    """Length-8 codeword for an 8-bit string: row int(byte, 2) of cck8_codebook.
 
     The written string splits into four consecutive 2-bit groups left to
     right, giving (phi1..phi4) via 00 -> 0, 01 -> pi, 10 -> pi/2, 11 -> -pi/2.
@@ -243,35 +218,15 @@ def cck8_codeword(byte: str) -> np.ndarray:
     """
     if len(byte) != 8 or set(byte) - {"0", "1"}:
         raise ValueError(f"expected an 8-bit string, got {byte!r}")
-    groups = [(int(byte[i]), int(byte[i + 1])) for i in range(0, 8, 2)]
-    p = [_GROUP_QUARTER_PHASE[g] for g in groups]
-    return _cck8_from_quarter_phases(np.array([p]))[0]
-
-
-def _cck8_from_quarter_phases(phases: np.ndarray) -> np.ndarray:
-    p1, p2, p3, p4 = phases[:, 0], phases[:, 1], phases[:, 2], phases[:, 3]
-    out = np.empty((len(phases), 8), dtype=np.complex128)
-    out[:, 0] = _QUARTER_UNITS[(p1 + p2 + p3 + p4) % 4]
-    out[:, 1] = _QUARTER_UNITS[(p1 + p3 + p4) % 4]
-    out[:, 2] = _QUARTER_UNITS[(p1 + p2 + p4) % 4]
-    out[:, 3] = -_QUARTER_UNITS[(p1 + p4) % 4]
-    out[:, 4] = _QUARTER_UNITS[(p1 + p2 + p3) % 4]
-    out[:, 5] = _QUARTER_UNITS[(p1 + p3) % 4]
-    out[:, 6] = -_QUARTER_UNITS[(p1 + p2) % 4]
-    out[:, 7] = _QUARTER_UNITS[p1 % 4]
-    return out
+    return cck8_codebook().entries[int(byte, 2)].copy()
 
 
 def cck8_codebook() -> Codebook:
     """All 256 length-8 codewords indexed by byte value."""
     bits = unpack_bits(np.arange(256), 8).T  # (256, 8)
-    groups = bits.reshape(256, 4, 2)
-    lut = np.zeros((2, 2), dtype=np.int64)
-    for (b1, b0), ph in _GROUP_QUARTER_PHASE.items():
-        lut[b1, b0] = ph
-    phases = lut[groups[:, :, 0], groups[:, :, 1]]
-    entries = _cck8_from_quarter_phases(phases)
-    return Codebook(length_n=8, bits_per_codeword=8, entries=entries)
+    phases = _GROUP_QUARTER_PHASE[bits[:, 0::2], bits[:, 1::2]]
+    return Codebook(length_n=8, bits_per_codeword=8,
+                    entries=_cck_chips(phases, _QUARTER_UNITS))
 
 
 @contextlib.contextmanager

@@ -9,69 +9,52 @@ its duration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ofdm import OfdmParams
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """taps has shape (n_rx, n_tx, p)."""
-
-    taps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.taps.ndim != 3:
-            raise ValueError(f"taps must be 3-d (n_rx, n_tx, p), got {self.taps.shape}")
-
-    @property
-    def n_rx(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.taps.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.taps.shape[2]
+def _taps_shape(taps: np.ndarray) -> tuple[int, int, int]:
+    """(n_rx, n_tx, p) of a tap array, which must be 3-d."""
+    if np.ndim(taps) != 3:
+        raise ValueError(f"taps must be 3-d (n_rx, n_tx, p), got {np.shape(taps)}")
+    return np.shape(taps)
 
 
 def generate_channel(n_tx: int, n_rx: int, p: int,
-                     rng: np.random.Generator) -> ChannelRealization:
-    """Draw i.i.d. CN(0, 1/p) taps for every antenna pair."""
+                     rng: np.random.Generator) -> np.ndarray:
+    """Draw i.i.d. CN(0, 1/p) taps for every antenna pair, shape (n_rx, n_tx, p)."""
     if n_tx < 1 or n_rx < 1 or p < 1:
         raise ValueError(f"antenna and tap counts must be >= 1, got {n_tx}, {n_rx}, {p}")
     scale = math.sqrt(0.5 / p)
-    taps = scale * (rng.standard_normal((n_rx, n_tx, p))
+    return scale * (rng.standard_normal((n_rx, n_tx, p))
                     + 1j * rng.standard_normal((n_rx, n_tx, p)))
-    return ChannelRealization(taps=taps)
 
 
-def apply_channel(tx_samples: np.ndarray, channel: ChannelRealization,
+def apply_channel(tx_samples: np.ndarray, taps: np.ndarray,
                   noise_variance: float,
                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Convolve antenna streams with the channel taps and add receiver noise.
 
-    tx_samples is (n_tx, T); the result is (n_rx, T + p - 1).  Each receive
-    stream sums the linear convolutions over transmit antennas.
+    tx_samples (n_tx, T) and taps (n_rx, n_tx, p) give (n_rx, T + p - 1): each
+    receive stream sums the linear convolutions over transmit antennas.
     noise_variance is the total variance N0 per complex sample; the noise is
     sqrt(N0/2) * (randn + j*randn) per sample, independent across antennas.
     """
+    n_rx, n_tx, p = _taps_shape(taps)
     tx_samples = np.asarray(tx_samples)
-    if tx_samples.ndim != 2 or tx_samples.shape[0] != channel.n_tx:
+    if tx_samples.ndim != 2 or tx_samples.shape[0] != n_tx:
         raise ValueError(
             f"tx samples shape {tx_samples.shape} does not match "
-            f"{channel.n_tx} transmit antennas"
+            f"{n_tx} transmit antennas"
         )
-    if noise_variance < 0:
-        raise ValueError(f"noise variance must be >= 0, got {noise_variance}")
+    if not (math.isfinite(noise_variance) and noise_variance >= 0):
+        raise ValueError(f"noise variance must be finite and >= 0, got {noise_variance}")
     t = tx_samples.shape[1]
-    out = np.zeros((channel.n_rx, t + channel.p - 1), dtype=np.complex128)
-    for i in range(channel.p):
-        out[:, i:i + t] += channel.taps[:, :, i] @ tx_samples
+    out = np.zeros((n_rx, t + p - 1), dtype=np.complex128)
+    for i in range(p):
+        out[:, i:i + t] += taps[:, :, i] @ tx_samples
     if noise_variance > 0:
         if rng is None:
             raise ValueError("noise requires an rng")
@@ -81,17 +64,18 @@ def apply_channel(tx_samples: np.ndarray, channel: ChannelRealization,
     return out
 
 
-def freq_response(channel: ChannelRealization, params: OfdmParams) -> np.ndarray:
+def freq_response(taps: np.ndarray, params: OfdmParams) -> np.ndarray:
     """Per-subcarrier channel matrices, shape (n_sub, n_rx, n_tx).
 
     H(k)[m, n] = sum_i taps[m, n, i] * exp(-2j*pi*k*i / n_sub).  Requires
     p <= cp_len + 1 so the cyclic prefix absorbs the delay spread.
     """
-    if channel.p > params.cp_len + 1:
+    p = _taps_shape(taps)[2]
+    if p > params.cp_len + 1:
         raise ValueError(
-            f"{channel.p} taps exceed cyclic prefix length {params.cp_len} + 1"
+            f"{p} taps exceed cyclic prefix length {params.cp_len} + 1"
         )
     k = np.arange(params.n_sub)
-    i = np.arange(channel.p)
+    i = np.arange(p)
     twiddle = np.exp(-2j * np.pi * np.outer(k, i) / params.n_sub)  # (n_sub, p)
-    return np.einsum("mni,ki->kmn", channel.taps, twiddle)
+    return np.einsum("mni,ki->kmn", taps, twiddle)

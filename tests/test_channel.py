@@ -1,26 +1,26 @@
 """Tap-delay channel model: statistics, convolution, and frequency response."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from scckm.channel import (ChannelRealization, apply_channel, freq_response,
-                           generate_channel)
+from scckm.channel import apply_channel, freq_response, generate_channel
 from scckm.ofdm import OfdmParams, ofdm_demodulate, ofdm_modulate
 
 
 def test_shape_and_dtype():
-    ch = generate_channel(2, 4, 3, np.random.default_rng(0))
-    assert ch.taps.shape == (4, 2, 3)
-    assert ch.taps.dtype == np.complex128
-    assert ch.n_tx == 2 and ch.n_rx == 4 and ch.p == 3
+    taps = generate_channel(2, 4, 3, np.random.default_rng(0))
+    assert taps.shape == (4, 2, 3)  # (n_rx, n_tx, p)
+    assert taps.dtype == np.complex128
 
 
 def test_tap_power_normalization():
     """Total power across taps is 1 per antenna pair, split evenly."""
     rng = np.random.default_rng(1)
     p = 2
-    taps = np.stack([generate_channel(1, 1, p, rng).taps[0, 0] for _ in range(20000)])
+    taps = np.stack([generate_channel(1, 1, p, rng)[0, 0] for _ in range(20000)])
     per_tap = np.mean(np.abs(taps) ** 2, axis=0)
     assert np.allclose(per_tap, 1 / p, rtol=0.05)
     assert abs(np.mean(np.sum(np.abs(taps) ** 2, axis=1)) - 1.0) < 0.03
@@ -28,8 +28,8 @@ def test_tap_power_normalization():
 
 def test_tap_magnitude_is_rayleigh():
     rng = np.random.default_rng(2)
-    taps = generate_channel(4, 4, 2, rng).taps
-    sample = np.abs(np.stack([generate_channel(4, 4, 2, rng).taps
+    taps = generate_channel(4, 4, 2, rng)
+    sample = np.abs(np.stack([generate_channel(4, 4, 2, rng)
                               for _ in range(400)])).ravel()
     sigma = np.sqrt(0.5 / 2)  # per-component std at p=2
     _, pvalue = stats.kstest(sample, "rayleigh", args=(0, sigma))
@@ -39,7 +39,7 @@ def test_tap_magnitude_is_rayleigh():
 
 def test_real_imag_components_independent_gaussian():
     rng = np.random.default_rng(3)
-    taps = np.stack([generate_channel(2, 2, 2, rng).taps for _ in range(4000)])
+    taps = np.stack([generate_channel(2, 2, 2, rng) for _ in range(4000)])
     re, im = taps.real.ravel(), taps.imag.ravel()
     assert abs(np.corrcoef(re, im)[0, 1]) < 0.02
     _, pvalue = stats.kstest(re / np.sqrt(0.25), "norm")
@@ -48,61 +48,71 @@ def test_real_imag_components_independent_gaussian():
 
 def test_noiseless_convolution_matches_loop_oracle():
     rng = np.random.default_rng(4)
-    ch = generate_channel(2, 3, 2, rng)
+    taps = generate_channel(2, 3, 2, rng)
     tx = rng.normal(size=(2, 10)) + 1j * rng.normal(size=(2, 10))
-    out = apply_channel(tx, ch, 0.0)
+    out = apply_channel(tx, taps, 0.0)
     expected = np.zeros((3, 11), dtype=complex)
     for m in range(3):
         for n in range(2):
             for i in range(2):
                 for t in range(10):
-                    expected[m, t + i] += ch.taps[m, n, i] * tx[n, t]
+                    expected[m, t + i] += taps[m, n, i] * tx[n, t]
     assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_output_length():
     rng = np.random.default_rng(5)
-    ch = generate_channel(2, 2, 4, rng)
-    out = apply_channel(np.ones((2, 16), dtype=complex), ch, 0.0)
+    taps = generate_channel(2, 2, 4, rng)
+    out = apply_channel(np.ones((2, 16), dtype=complex), taps, 0.0)
     assert out.shape == (2, 19)
 
 
 def test_noise_variance_calibration():
     rng = np.random.default_rng(6)
-    ch = ChannelRealization(taps=np.zeros((2, 2, 1), dtype=complex))
+    taps = np.zeros((2, 2, 1), dtype=complex)
     n0 = 0.3
-    out = apply_channel(np.zeros((2, 4096), dtype=complex), ch, n0, rng)
+    out = apply_channel(np.zeros((2, 4096), dtype=complex), taps, n0, rng)
     measured = np.mean(np.abs(out) ** 2)
     assert abs(measured - n0) / n0 < 0.05
 
 
 def test_noise_requires_rng():
-    ch = ChannelRealization(taps=np.ones((1, 1, 1), dtype=complex))
+    taps = np.ones((1, 1, 1), dtype=complex)
     with pytest.raises(ValueError):
-        apply_channel(np.ones((1, 4), dtype=complex), ch, 0.1)
+        apply_channel(np.ones((1, 4), dtype=complex), taps, 0.1)
 
 
 def test_rejects_mismatched_tx_shape():
-    ch = ChannelRealization(taps=np.ones((2, 2, 1), dtype=complex))
+    taps = np.ones((2, 2, 1), dtype=complex)
     with pytest.raises(ValueError):
-        apply_channel(np.ones((3, 4), dtype=complex), ch, 0.0)
+        apply_channel(np.ones((3, 4), dtype=complex), taps, 0.0)
 
 
 def test_rejects_negative_variance():
-    ch = ChannelRealization(taps=np.ones((1, 1, 1), dtype=complex))
-    with pytest.raises(ValueError):
-        apply_channel(np.ones((1, 4), dtype=complex), ch, -1.0,
-                      np.random.default_rng(0))
+    # NaN fails every comparison, so a "> 0" test alone would skip the noise
+    taps = np.ones((1, 1, 1), dtype=complex)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise variance"):
+            apply_channel(np.ones((1, 4), dtype=complex), taps, bad,
+                          np.random.default_rng(0))
+
+
+def test_rejects_taps_that_are_not_3d():
+    taps = np.ones((2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="3-d"):
+        apply_channel(np.ones((2, 4), dtype=complex), taps, 0.0)
+    with pytest.raises(ValueError, match="3-d"):
+        freq_response(taps, OfdmParams(n_sub=16, cp_len=4))
 
 
 def test_freq_response_matches_dft_oracle():
     rng = np.random.default_rng(7)
     params = OfdmParams(n_sub=16, cp_len=4)
-    ch = generate_channel(2, 3, 3, rng)
-    hk = freq_response(ch, params)
+    taps = generate_channel(2, 3, 3, rng)
+    hk = freq_response(taps, params)
     assert hk.shape == (16, 3, 2)
     for k in (0, 5, 15):
-        expected = sum(ch.taps[:, :, i] * np.exp(-2j * np.pi * k * i / 16)
+        expected = sum(taps[:, :, i] * np.exp(-2j * np.pi * k * i / 16)
                        for i in range(3))
         assert np.max(np.abs(hk[k] - expected)) < 1e-12
 
@@ -110,19 +120,19 @@ def test_freq_response_matches_dft_oracle():
 def test_freq_response_rejects_long_channels():
     """Delay spread must fit inside the cyclic prefix."""
     rng = np.random.default_rng(8)
-    ch = generate_channel(2, 2, 6, rng)
+    taps = generate_channel(2, 2, 6, rng)
     with pytest.raises(ValueError):
-        freq_response(ch, OfdmParams(n_sub=64, cp_len=4))
+        freq_response(taps, OfdmParams(n_sub=64, cp_len=4))
 
 
 def test_per_subcarrier_multiplicative_model():
     # after modulate -> convolve -> demodulate, each subcarrier sees H(k)X(k)
     rng = np.random.default_rng(9)
     params = OfdmParams(n_sub=64, cp_len=8)
-    ch = generate_channel(2, 2, 2, rng)
+    taps = generate_channel(2, 2, 2, rng)
     grid = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
-    rx = apply_channel(ofdm_modulate(grid, params), ch, 0.0)
+    rx = apply_channel(ofdm_modulate(grid, params), taps, 0.0)
     rx_grid = ofdm_demodulate(rx[:, :params.n_sub + params.cp_len], params)
-    hk = freq_response(ch, params)
+    hk = freq_response(taps, params)
     expected = np.einsum("kmn,nk->mk", hk, grid)
     assert np.max(np.abs(rx_grid - expected)) < 1e-10

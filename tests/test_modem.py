@@ -139,7 +139,7 @@ class TestSmDetection:
                         hyp[a] = points[s]
                         cands.append(((a, s), np.sum(np.abs(z[k] - hyp) ** 2)))
                 (a, s), d = min(cands, key=lambda c: c[1])
-                assert (det.antennas[k], det.labels[k]) == (a, s)
+                assert divmod(int(det.indices[k]), len(points)) == (a, s)
                 assert abs(det.distances[k] - d) < 1e-9
 
     def test_equalized_noiseless_exact(self):
@@ -147,14 +147,16 @@ class TestSmDetection:
         ant = np.array([0, 1, 2, 3])
         z[np.arange(4), ant] = QAM4[[3, 2, 1, 0]]
         det = ml_detect_sm_equalized_grid(z, 4, "4qam")
-        assert np.array_equal(det.antennas, ant)
-        assert np.array_equal(det.labels, [3, 2, 1, 0])
+        antennas, labels = divmod(det.indices, 4)
+        assert np.array_equal(antennas, ant)
+        assert np.array_equal(labels, [3, 2, 1, 0])
 
     def test_equalized_tie_breaks_low(self):
         # the origin is equidistant from every (antenna, point) hypothesis
         det = ml_detect_sm_equalized_grid(np.zeros((3, 4), dtype=complex), 4, "4qam")
-        assert np.array_equal(det.antennas, [0, 0, 0])
-        assert np.array_equal(det.labels, [0, 0, 0])
+        antennas, labels = divmod(det.indices, 4)
+        assert np.array_equal(antennas, [0, 0, 0])
+        assert np.array_equal(labels, [0, 0, 0])
 
     def test_equalized_shape_check(self):
         with pytest.raises(ValueError):
