@@ -153,10 +153,10 @@ def min_distance(codebook: Codebook) -> float:
 
 def dmin_closed_form(n: int, m: int) -> float:
     """sqrt(N/2) * |1 - e^{j*2pi/M}| for codeword length N, phase alphabet M."""
-    if n < 2 or n & (n - 1):
+    if not isinstance(n, (int, np.integer)) or n < 2 or n & (n - 1):
         raise ValueError(f"codeword length must be a power of two >= 2, got {n}")
-    if m < 2:
-        raise ValueError(f"phase alphabet size must be >= 2, got {m}")
+    if not isinstance(m, (int, np.integer)) or m < 2:
+        raise ValueError(f"phase alphabet size must be an integer >= 2, got {m}")
     return math.sqrt(n / 2.0) * abs(1.0 - complex(math.cos(2 * math.pi / m),
                                                   math.sin(2 * math.pi / m)))
 
@@ -175,10 +175,11 @@ def select_min_distance_subset(candidates: np.ndarray, subset_size: int,
     """
     candidates = np.asarray(candidates)
     n = len(candidates)
-    if subset_size < 2 or subset_size > n:
+    if not isinstance(subset_size, (int, np.integer)) or not 2 <= subset_size <= n:
         raise ValueError(f"subset size {subset_size} out of range for {n} candidates")
-    if num_random_subsets < 1:
-        raise ValueError("number of random subsets must be >= 1")
+    if not isinstance(num_random_subsets, (int, np.integer)) or num_random_subsets < 1:
+        raise ValueError(
+            f"number of random subsets must be an integer >= 1, got {num_random_subsets}")
 
     # squared distances, quantized so symbolically equal values compare equal
     d2 = np.round(_sq_distances(candidates), 9)

@@ -25,8 +25,9 @@ def _taps_shape(taps: np.ndarray) -> tuple[int, int, int]:
 def generate_channel(n_tx: int, n_rx: int, p: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. CN(0, 1/p) taps for every antenna pair, shape (n_rx, n_tx, p)."""
-    if n_tx < 1 or n_rx < 1 or p < 1:
-        raise ValueError(f"antenna and tap counts must be >= 1, got {n_tx}, {n_rx}, {p}")
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (n_tx, n_rx, p)):
+        raise ValueError(
+            f"antenna and tap counts must be integers >= 1, got {n_tx}, {n_rx}, {p}")
     scale = math.sqrt(0.5 / p)
     return scale * (rng.standard_normal((n_rx, n_tx, p))
                     + 1j * rng.standard_normal((n_rx, n_tx, p)))
@@ -70,7 +71,7 @@ def freq_response(taps: np.ndarray, params: OfdmParams) -> np.ndarray:
     H(k)[m, n] = sum_i taps[m, n, i] * exp(-2j*pi*k*i / n_sub).  Requires
     p <= cp_len + 1 so the cyclic prefix absorbs the delay spread.
     """
-    p = _taps_shape(taps)[2]
+    n_rx, n_tx, p = _taps_shape(taps)
     if p > params.cp_len + 1:
         raise ValueError(
             f"{p} taps exceed cyclic prefix length {params.cp_len} + 1"
@@ -78,4 +79,13 @@ def freq_response(taps: np.ndarray, params: OfdmParams) -> np.ndarray:
     k = np.arange(params.n_sub)
     i = np.arange(p)
     twiddle = np.exp(-2j * np.pi * np.outer(k, i) / params.n_sub)  # (n_sub, p)
-    return np.einsum("mni,ki->kmn", taps, twiddle)
+    # twiddle @ x for the (p, n_rx*n_tx) taps x, as one real GEMM on the
+    # interleaved real/imaginary columns: [Re w, Im w] @ [x; j*x].  The complex
+    # GEMM of the same product (256 x 2 x 128 at 8x16) is past OpenBLAS's
+    # threading threshold; its helper threads then spun through the rest of
+    # the symbol, 1.8 ms of CPU per scck8 8x16 symbol on the second core
+    x = np.empty((2 * p, n_rx * n_tx), dtype=np.complex128)
+    x[:p] = np.reshape(taps, (-1, p)).T
+    x[p:] = 1j * x[:p]
+    h = np.concatenate([twiddle.real, twiddle.imag], axis=1) @ x.view(np.float64)
+    return h.view(np.complex128).reshape(params.n_sub, n_rx, n_tx)

@@ -6,11 +6,12 @@ SCCKM's table is its codebook scaled by 1/sqrt(N_t), one chip per transmit
 antenna.  SM's table holds each constellation point on each single antenna:
 the leading log2(N_t) bits pick the antenna (natural binary), the rest pick a
 unit-energy point (Gray labeled).  Zero forcing solves the normal equations
-of every subcarrier in one batch and falls back to the pseudo-inverse where
-the Gram matrix is ill-conditioned.  Detection is one exhaustive minimum
-squared Euclidean distance search over the table rows, a single GEMM for both
-schemes, with ties resolved to the lowest row: the lowest codeword index, or
-the lowest antenna and then the lowest point label.
+of every subcarrier in one batch through their Cholesky factors and falls
+back to the pseudo-inverse where the Gram matrix is ill-conditioned.
+Detection is one exhaustive minimum squared Euclidean distance search over
+the table rows, the same blocked GEMM for both schemes, with ties resolved to
+the lowest row: the lowest codeword index, or the lowest antenna and then the
+lowest point label.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ QAM4 = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128) / math.
 CONSTELLATIONS = {"bpsk": BPSK, "4qam": QAM4}
 
 ZF_RCOND = 1e-10
+
+# the largest real GEMM, in M*N*K multiply-adds, that OpenBLAS runs on the
+# calling thread alone (4 x 65536 in its default build).  Detection searches in blocks of rows that stay within
+# it: scck8 8x16 in 64-row blocks (64 x 16 x 256), where one 256-row GEMM woke
+# helper threads every call and wrote a fresh 512 KB score every symbol; the
+# smaller tables in one block
+_ONE_THREAD_GEMM = 4 * 65536
 
 
 class Detection(NamedTuple):
@@ -98,37 +106,55 @@ def zf_equalize(received: np.ndarray, h_k: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(h_k, rcond=ZF_RCOND) @ np.asarray(received)
 
 
-def _ill_conditioned(gram: np.ndarray) -> np.ndarray:
-    """Flag each Gram matrix of a stack whose Cholesky factorization fails or
-    whose smallest pivot |L_ii|^2 is below ZF_RCOND times its largest."""
+def _cholesky(gram: np.ndarray):
+    """Cholesky factors of a stack of Gram matrices, and a flag for each one
+    whose factorization fails or whose smallest pivot |L_ii|^2 is below
+    ZF_RCOND times its largest.  A flagged matrix gets the identity as its
+    factor, so substitutions through the stack cannot fail."""
     try:
         factor = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         # numpy rejects the whole stack, so find the failures one at a time
         if len(gram) == 1:
-            return np.ones(1, dtype=bool)
-        return np.concatenate([_ill_conditioned(g[None]) for g in gram])
+            return np.eye(gram.shape[1], dtype=gram.dtype)[None], np.ones(1, dtype=bool)
+        factors, flags = zip(*(_cholesky(g[None]) for g in gram))
+        return np.concatenate(factors), np.concatenate(flags)
     pivots = np.diagonal(factor, axis1=1, axis2=2).real ** 2
-    return pivots.min(axis=1) < ZF_RCOND * pivots.max(axis=1)
+    bad = pivots.min(axis=1) < ZF_RCOND * pivots.max(axis=1)
+    factor[bad] = np.eye(gram.shape[1])
+    return factor, bad
+
+
+def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^H x = b for a stack of lower factors L (k, n, n) and right
+    sides b (k, n): forward then back substitution, one column at a time
+    across the whole stack."""
+    x = rhs.copy()
+    n = factor.shape[1]
+    for i in range(n):
+        x[:, i] /= factor[:, i, i]
+        x[:, i + 1:] -= factor[:, i + 1:, i] * x[:, i, None]
+    for i in reversed(range(n)):
+        x[:, i] /= factor[:, i, i]
+        x[:, :i] -= factor[:, i, :i].conj() * x[:, i, None]
+    return x
 
 
 def zf_equalize_grid(received: np.ndarray, hk: np.ndarray) -> np.ndarray:
     """Batched ZF: received (n_sub, n_rx), hk (n_sub, n_rx, n_tx) -> (n_sub, n_tx).
 
     Solves the normal equations (H^H H) x = H^H y on every subcarrier in one
-    batch.  A subcarrier whose Gram matrix fails the Cholesky test of
-    _ill_conditioned goes through the pseudo-inverse of zf_equalize instead,
-    so a rank-deficient channel still gets the truncated least-squares answer.
+    batch, through the Cholesky factor that also tests the conditioning.  A
+    subcarrier whose Gram matrix fails that test (_cholesky) goes through the
+    pseudo-inverse of zf_equalize instead, so a rank-deficient channel still
+    gets the truncated least-squares answer.
     """
     received = np.asarray(received)
     if hk.shape[1] < hk.shape[2]:
         raise ValueError(f"need n_rx >= n_tx, got channel shape {hk.shape[1:]}")
     hk_h = np.conj(np.swapaxes(hk, 1, 2))
-    gram = hk_h @ hk
-    rhs = hk_h @ received[:, :, None]
-    bad = _ill_conditioned(gram)
-    gram[bad] = np.eye(hk.shape[2])  # placeholder, so the batched solve cannot fail
-    equalized = np.linalg.solve(gram, rhs)[:, :, 0]
+    factor, bad = _cholesky(hk_h @ hk)
+    equalized = _cholesky_solve(factor, (hk_h @ received[:, :, None])[:, :, 0])
     if bad.any():
         pinv = np.linalg.pinv(hk[bad], rcond=ZF_RCOND)
         equalized[bad] = np.einsum("kij,kj->ki", pinv, received[bad])
@@ -139,8 +165,10 @@ def _closest_rows(equalized: np.ndarray, table: np.ndarray):
     """Closest table row to each row of an (n_sub, n_tx) grid: (indices, distances).
 
     ||z - c||^2 = ||z||^2 - score with score = 2 Re(z c^H) - ||c||^2, so the
-    search is one real GEMM over the interleaved real/imaginary parts.  argmax
-    takes the first maximum, so ties resolve to the lowest row index.
+    search is one real GEMM over the interleaved real/imaginary parts, run in
+    blocks of rows small enough for one thread (_ONE_THREAD_GEMM) that share
+    one score buffer.  argmax takes the first maximum, so ties resolve to the
+    lowest row index.
     """
     z = np.ascontiguousarray(equalized, dtype=np.complex128)
     if z.ndim != 2 or z.shape[1] != table.shape[1]:
@@ -148,11 +176,19 @@ def _closest_rows(equalized: np.ndarray, table: np.ndarray):
             f"equalized grid must be (n_sub, {table.shape[1]}), got {z.shape}")
     # Re(z c^H) as a dot product of the float64 views, doubled exactly
     twice = 2.0 * table.view(np.float64)
-    score = z.view(np.float64) @ twice.T
-    score -= np.sum(np.abs(table) ** 2, axis=1)
-    indices = np.argmax(score, axis=1)
-    offset = np.sum(np.abs(z) ** 2, axis=1)
-    return indices, offset - score[np.arange(len(indices)), indices]
+    energy = np.sum(np.abs(table) ** 2, axis=1)
+    rows = z.view(np.float64)
+    indices = np.empty(len(z), dtype=np.intp)
+    best = np.empty(len(z))
+    block_rows = max(1, _ONE_THREAD_GEMM // twice.size)
+    score = np.empty((min(len(z), block_rows), len(table)))
+    for start in range(0, len(z), block_rows):
+        part = slice(start, start + block_rows)
+        block = np.matmul(rows[part], twice.T, out=score[:len(rows[part])])
+        block -= energy
+        indices[part] = np.argmax(block, axis=1)
+        best[part] = block[np.arange(len(block)), indices[part]]
+    return indices, np.sum(np.abs(z) ** 2, axis=1) - best
 
 
 def _ml_search(equalized: np.ndarray, table: np.ndarray) -> Detection:

@@ -182,6 +182,17 @@ class TestSubsetSearch:
         with pytest.raises(ValueError):
             select_cck4_subset(cck4_enumerate(), 0, np.random.default_rng(0))
 
+    def test_rejects_non_integer_sample_count(self):
+        with pytest.raises(ValueError, match="integer"):
+            select_cck4_subset(cck4_enumerate(), 2.5, np.random.default_rng(0))
+
+
+def test_dmin_closed_form_rejects_non_integers():
+    with pytest.raises(ValueError, match="integer"):
+        dmin_closed_form(4, 2.5)
+    with pytest.raises(ValueError, match="power of two"):
+        dmin_closed_form(4.0, 4)
+
 
 def test_export_codebook_csv_round_trip():
     cb = cck2_codebook()

@@ -16,6 +16,11 @@ def test_shape_and_dtype():
     assert taps.dtype == np.complex128
 
 
+def test_rejects_non_integer_counts():
+    with pytest.raises(ValueError, match="integers"):
+        generate_channel(2, 4, 2.5, np.random.default_rng(0))
+
+
 def test_tap_power_normalization():
     """Total power across taps is 1 per antenna pair, split evenly."""
     rng = np.random.default_rng(1)

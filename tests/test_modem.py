@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from scckm.cck import cck2_codebook, cck4_reference_codebook, cck8_codebook, pack_bits
-from scckm.modem import (BPSK, QAM4, ml_detect_scck_grid, ml_detect_sm_equalized_grid,
-                         scck_map, sm_map, zf_equalize, zf_equalize_grid)
+from scckm.cck import (cck2_codebook, cck4_reference_codebook, cck8_codebook, pack_bits,
+                       unpack_bits)
+from scckm.modem import (BPSK, QAM4, _closest_rows, ml_detect_scck_grid,
+                         ml_detect_sm_equalized_grid, scck_map, sm_map, zf_equalize,
+                         zf_equalize_grid)
 
 
 class TestMapping:
@@ -89,6 +91,25 @@ class TestZeroForcing:
         for k in range(8):
             assert np.max(np.abs(batched[k] - zf_equalize(r[k], hk[k]))) < 1e-10
 
+    # a flagged subcarrier gets an identity factor, so no division by zero warns
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_tx,n_rx", [(2, 2), (4, 8), (8, 16)])
+    def test_grid_matches_pinv_oracle(self, n_tx, n_rx):
+        rng = np.random.default_rng(n_rx)
+        hk = rng.normal(size=(40, n_rx, n_tx)) + 1j * rng.normal(size=(40, n_rx, n_tx))
+        r = rng.normal(size=(40, n_rx)) + 1j * rng.normal(size=(40, n_rx))
+        singular = hk.copy()
+        # a zero column: numpy's Cholesky rejects the whole stack, so the grid
+        # has to find the failing subcarrier one matrix at a time
+        singular[7, :, 0] = 0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.conj(np.swapaxes(singular, 1, 2)) @ singular)
+        for stack in (hk, singular):
+            batched = zf_equalize_grid(r, stack)
+            for k in range(40):
+                expected = zf_equalize(r[k], stack[k])
+                assert np.max(np.abs(batched[k] - expected)) <= 1e-9 * np.max(np.abs(expected))
+
     def test_degenerate_channel_still_returns(self):
         # rank-deficient matrices go through the truncated pseudo-inverse
         h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -165,6 +186,31 @@ class TestSmDetection:
     def test_unknown_constellation(self):
         with pytest.raises(ValueError):
             ml_detect_sm_equalized_grid(np.zeros((1, 2), dtype=complex), 2, "8psk")
+
+
+@pytest.mark.parametrize("n_sub", [1, 63, 64, 65, 200])
+def test_blocked_search_matches_brute_force(n_sub):
+    # sizes below, at and across the detection block, with a partial last block
+    rng = np.random.default_rng(n_sub)
+    cb = cck8_codebook()
+    points = np.zeros((8, 2, 8), dtype=complex)
+    points[np.arange(8), :, np.arange(8)] = BPSK
+    for table, detect in ((cb.entries / np.sqrt(8), lambda z: ml_detect_scck_grid(z, cb)),
+                          (points.reshape(16, 8),
+                           lambda z: ml_detect_sm_equalized_grid(z, 8, "bpsk"))):
+        noise = rng.normal(size=(n_sub, 8)) + 1j * rng.normal(size=(n_sub, 8))
+        z = table[rng.integers(0, len(table), size=n_sub)] + 0.4 * noise
+        # every table row has unit energy, so the origin ties them all: row 0
+        z[3::7] = 0
+        d2 = np.sum(np.abs(z[:, None, :] - table[None]) ** 2, axis=2)
+        expected = np.argmin(d2, axis=1)
+        indices, distances = _closest_rows(z, table)
+        assert np.array_equal(indices, expected)
+        assert np.max(np.abs(distances - d2.min(axis=1))) < 1e-9
+        det = detect(z)
+        assert np.array_equal(det.indices, expected)
+        assert np.array_equal(det.bits, unpack_bits(expected, len(table).bit_length() - 1))
+        assert np.max(np.abs(det.distances - d2.min(axis=1))) < 1e-9
 
 
 class TestLoopback:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -116,6 +117,43 @@ class TestRunPoint:
         monkeypatch.setattr(sim, "_run_frame", counted)
         assert run_point(cfg, 0.0, workers=4) == pt
         assert len(calls) <= pt.bits_simulated // frame_bits + 4 * 4
+
+    def test_pool_submits_a_bounded_window(self, monkeypatch):
+        submits = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(1)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "ThreadPoolExecutor", CountingPool)
+        cfg = small_config(frames=10_000, ebn0_db=(-6.0,), max_bit_errors=1)
+        pt = run_point(cfg, -6.0, workers=2)
+        frames_run = pt.bits_simulated // (4 * 32 * 2)
+        assert len(submits) <= frames_run + 4 * 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the heap pad is set through glibc's mallopt")
+    def test_symbols_do_not_refault_the_heap(self):
+        # in a fresh interpreter: earlier tests leave free chunks in the heap
+        # that can hide the trimming this checks for
+        src = os.path.dirname(os.path.dirname(scckm.__file__))
+        script = textwrap.dedent(f"""
+            import dataclasses, resource, sys
+            sys.path.insert(0, {src!r})
+            from scckm.sim import SimConfig, run_point
+            cfg = SimConfig(scheme="scck8", n_tx=8, n_rx=16, ebn0_db=(8.0,),
+                            frames=2, seed=1, symbols_per_frame=20)
+            run_point(dataclasses.replace(cfg, frames=1, symbols_per_frame=1), 8.0)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_point(cfg, 8.0)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)
+        """)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        per_symbol = float(done.stdout)
+        assert per_symbol < 20, f"{per_symbol:.0f} minor page faults per OFDM symbol"
 
     def test_workers_below_one_rejected(self):
         for workers in (0, -5):
