@@ -8,18 +8,17 @@ Run from the repository root:
 The ``--before`` revision's ``src/`` is extracted with ``git archive``; the
 "after" side is this checkout's ``src/``.  Both sides run in alternating
 fresh interpreters, ``--reps`` each.  One interpreter runs every config of
-the matrix below, each three ways, all at seed 1 and one Eb/N0:
+the matrix below, each two ways, all at seed 1 and one Eb/N0:
 
-* one worker, untraced: ms per OFDM symbol and minor page faults per symbol;
-* one worker, with the stage calls ``scckm.sim`` makes timed by
-  ``perfbench/tracing.py``: ms per symbol by stage;
-* two worker threads, untraced: ms and faults per symbol, and the worker
-  efficiency, one-worker time over twice the two-worker time.
+* untraced: ms per OFDM symbol and minor page faults per symbol;
+* with the stage calls ``scckm.sim`` makes timed by
+  ``perfbench/tracing.py``: ms per symbol by stage.
 
 The JSON holds the median of each over the reps, the error counts of each
 side (every run of a side must give the same counts), the machine (cores,
 numpy, BLAS and its thread variables) and the line count of each side's
-``src/scckm``.
+``src/scckm``.  The script writes the JSON and prints one row per config,
+then exits 1 if any config's error counts differ between the two sides.
 """
 
 from __future__ import annotations
@@ -61,16 +60,16 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _timed(run_point, config, workers: int):
+def _timed(run_point, config):
     """(seconds, minor faults, point) of one run_point call."""
     faults = _minor_faults()
     start = time.perf_counter()
-    point = run_point(config, EBN0_DB, workers=workers)
+    point = run_point(config, EBN0_DB)
     return time.perf_counter() - start, _minor_faults() - faults, point
 
 
 def measure(src: Path) -> dict:
-    """Every config three ways in this interpreter, with scckm from ``src``."""
+    """Every config two ways in this interpreter, with scckm from ``src``."""
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import tracing
@@ -82,8 +81,7 @@ def measure(src: Path) -> dict:
                            frames=FRAMES, seed=SEED, symbols_per_frame=SYMBOLS_PER_FRAME)
         symbols = FRAMES * SYMBOLS_PER_FRAME
         run_point(dataclasses.replace(config, frames=1, symbols_per_frame=1), EBN0_DB)
-        one_s, one_faults, point = _timed(run_point, config, 1)
-        two_s, two_faults, pooled = _timed(run_point, config, 2)
+        seconds, faults, point = _timed(run_point, config)
         tracer = tracing.Tracer()
         root = tracer.open("sim.run_point", -1, 0)
         with tracing.traced_program(tracer, root, 0):
@@ -94,14 +92,11 @@ def measure(src: Path) -> dict:
         stages["sim.self"] = tracer.totals_ns()["sim.run_point"] / 1e6 / symbols \
             - sum(stages.values())
         results[name] = {
-            "ms_per_symbol": one_s * 1e3 / symbols,
-            "faults_per_symbol": one_faults / symbols,
-            "workers2_ms_per_symbol": two_s * 1e3 / symbols,
-            "workers2_faults_per_symbol": two_faults / symbols,
-            "worker_efficiency": one_s / (2 * two_s),
+            "ms_per_symbol": seconds * 1e3 / symbols,
+            "faults_per_symbol": faults / symbols,
             "stage_ms_per_symbol": stages,
             "counts": [point.bits_simulated, point.bit_errors],
-            "counts_agree": point == pooled == traced,
+            "counts_agree": point == traced,
         }
     return results
 
@@ -136,8 +131,7 @@ def median_of(runs: list, config: str) -> dict:
     if any(r[config]["counts"] != first["counts"] for r in runs):
         raise RuntimeError(f"{config}: counts differ between runs of one side")
     summary = {key: statistics.median(r[config][key] for r in runs)
-               for key in ("ms_per_symbol", "faults_per_symbol", "workers2_ms_per_symbol",
-                           "workers2_faults_per_symbol", "worker_efficiency")}
+               for key in ("ms_per_symbol", "faults_per_symbol")}
     summary["stage_ms_per_symbol"] = {
         stage: statistics.median(r[config]["stage_ms_per_symbol"].get(stage, 0.0)
                                  for r in runs)
@@ -200,7 +194,7 @@ def main(argv=None) -> int:
               f"({row['speedup']:.2f}x), faults/symbol "
               f"{row['before']['faults_per_symbol']:.0f} -> "
               f"{row['after']['faults_per_symbol']:.0f}, counts equal: {row['counts_equal']}")
-    return 0
+    return 0 if all(row["counts_equal"] for row in report["configs"].values()) else 1
 
 
 if __name__ == "__main__":

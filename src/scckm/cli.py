@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-bit-errors", type=int, dest="max_bit_errors",
                         help="early-stop threshold per point (default off)")
     parser.add_argument("--workers", type=int,
-                        help="worker threads per point (default 1)")
+                        help="an integer >= 1 (default 1) with no other effect: "
+                             "frames run in order on one thread")
     return parser
 
 

@@ -3,20 +3,15 @@
 One experiment is a SimConfig: a scheme, a MIMO size, an Eb/N0 list, frame
 counts and a master seed.  Every (frame, symbol) pair owns its own RNG
 substream derived from the master seed by counter-based spawning, so error
-counts do not depend on scheduling or worker count.  Frames accumulate in
-index order and the early-stop check runs at frame boundaries, which keeps
-CSV output byte-identical across thread counts.
+counts depend only on the config.  Frames run in index order on the calling
+thread and the early-stop check runs at frame boundaries.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
-import itertools
 import math
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -81,6 +76,14 @@ SCHEMES = {
 }
 
 
+def _finite_or_inf(ebn0_db) -> float:
+    """ebn0_db as a float; NaN and -inf have no noise variance."""
+    value = float(ebn0_db)
+    if math.isnan(value) or value == -math.inf:
+        raise ValueError(f"ebn0 values must be finite or +inf, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SimConfig:
     scheme: str
@@ -95,6 +98,16 @@ class SimConfig:
     max_bit_errors: int | None = None
 
     def __post_init__(self):
+        counts = {"transmit antenna count": self.n_tx, "receive antenna count": self.n_rx,
+                  "frame count": self.frames, "symbols per frame": self.symbols_per_frame,
+                  "tap count": self.taps}
+        if self.max_bit_errors is not None:
+            counts["max bit errors"] = self.max_bit_errors
+        for name, value in counts.items():
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(
                 f"unknown scheme {self.scheme!r}, expected one of {tuple(SCHEMES)}")
@@ -113,25 +126,12 @@ class SimConfig:
             raise ValueError(f"ebn0 must be a sequence of numbers, got {self.ebn0_db!r}")
         if not self.ebn0_db:
             raise ValueError("ebn0 list must be non-empty")
-        for e in self.ebn0_db:
-            value = float(e)
-            if math.isnan(value) or (math.isinf(value) and value < 0):
-                raise ValueError(f"ebn0 values must be finite or +inf, got {value}")
-        if self.frames < 1:
-            raise ValueError(f"frame count must be >= 1, got {self.frames}")
-        if self.symbols_per_frame < 1:
-            raise ValueError(f"symbols per frame must be >= 1, got {self.symbols_per_frame}")
-        if self.taps < 1:
-            raise ValueError(f"tap count must be >= 1, got {self.taps}")
+        ebn0_db = tuple(_finite_or_inf(e) for e in self.ebn0_db)
         if self.taps > self.ofdm.cp_len + 1:
             raise ValueError(
                 f"{self.taps} taps exceed cyclic prefix length {self.ofdm.cp_len} + 1"
             )
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.max_bit_errors is not None and self.max_bit_errors < 1:
-            raise ValueError(f"max bit errors must be >= 1, got {self.max_bit_errors}")
-        object.__setattr__(self, "ebn0_db", tuple(float(e) for e in self.ebn0_db))
+        object.__setattr__(self, "ebn0_db", ebn0_db)
 
     @property
     def bits_per_subcarrier(self) -> int:
@@ -212,51 +212,36 @@ def _run_frame(config: SimConfig, ops, frame: int, n0: float) -> int:
     return errors
 
 
-def _in_order(pool: ThreadPoolExecutor, run, frames, window: int):
-    """Yield run(frame) for each frame in frame order, with at most window
-    frames submitted and not yet yielded.
-
-    Frames may finish out of order, but their counts come out in frame order,
-    so worker count cannot change the counts; the window bounds the work and
-    memory an early stop leaves queued.
-    """
-    submitted = (pool.submit(run, frame) for frame in frames)
-    ahead = deque(itertools.islice(submitted, window))
-    while ahead:
-        yield ahead.popleft().result()
-        ahead.extend(itertools.islice(submitted, 1))
-
-
 def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
-    """Simulate one Eb/N0 point, early-stopping at max_bit_errors if set."""
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+    """Simulate one Eb/N0 point, early-stopping at max_bit_errors if set.
+
+    workers must be an integer >= 1 and has no other effect: frames run in
+    order on the calling thread.
+    """
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"worker count must be an integer >= 1, got {workers!r}")
+    ebn0_db = _finite_or_inf(ebn0_db)
     n0 = noise_variance(config, ebn0_db)
     ops = _scheme_ops(config)
     limit = config.max_bit_errors
     errors = 0
     frames_run = 0
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        run = functools.partial(_run_frame, config, ops, n0=n0)
-        frames = range(config.frames)
-        counts = map(run, frames) if workers == 1 else _in_order(pool, run, frames, 4 * workers)
-        for frame_errors in counts:
-            errors += frame_errors
-            frames_run += 1
-            if limit is not None and errors >= limit:
-                break
-    finally:
-        # frames not yet started are dropped instead of run on the way out
-        pool.shutdown(cancel_futures=True)
+    for frame in range(config.frames):
+        errors += _run_frame(config, ops, frame, n0)
+        frames_run += 1
+        if limit is not None and errors >= limit:
+            break
     bits = frames_run * config.symbols_per_frame * config.ofdm.n_sub \
         * config.bits_per_subcarrier
-    return BerPoint(ebn0_db=float(ebn0_db), bits_simulated=bits,
+    return BerPoint(ebn0_db=ebn0_db, bits_simulated=bits,
                     bit_errors=errors, ber=errors / bits)
 
 
 def run_sweep(config: SimConfig, workers: int = 1) -> BerCurve:
-    """Run every configured Eb/N0 point, ordered ascending."""
+    """Run every configured Eb/N0 point, ordered ascending.
+
+    workers is passed to run_point and has no other effect.
+    """
     points = tuple(
         run_point(config, e, workers=workers) for e in sorted(config.ebn0_db)
     )

@@ -14,6 +14,15 @@ def test_round_trip_identity():
     assert np.max(np.abs(out - grid)) < 1e-12
 
 
+@pytest.mark.parametrize("field,value,name", [
+    ("n_sub", 32.0, "subcarrier count"),
+    ("cp_len", 2.5, "cyclic prefix length"),
+])
+def test_params_reject_non_integer_sizes(field, value, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        OfdmParams(**{field: value})
+
+
 def test_output_length_includes_prefix():
     params = OfdmParams(n_sub=64, cp_len=8)
     samples = ofdm_modulate(np.ones(64, dtype=complex), params)

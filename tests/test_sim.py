@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -59,6 +59,19 @@ class TestSimConfig:
         assert small_config(scheme="sm-4qam", n_tx=4, n_rx=4).bits_per_subcarrier == 4
         assert small_config(scheme="sm-bpsk", n_tx=8, n_rx=8).bits_per_subcarrier == 4
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_tx", 2.0, "transmit antenna count must be an integer"),
+        ("n_rx", 4.5, "receive antenna count must be an integer"),
+        ("frames", 2.5, "frame count must be an integer"),
+        ("symbols_per_frame", 2.5, "symbols per frame must be an integer"),
+        ("seed", 1.5, "seed must be a 64-bit unsigned integer"),
+        ("taps", 2.0, "tap count must be an integer"),
+        ("max_bit_errors", 1.5, "max bit errors must be an integer"),
+    ])
+    def test_rejects_non_integer_counts(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            small_config(**{field: value})
+
     def test_ebn0_coerced_to_floats(self):
         cfg = small_config(ebn0_db=(0, 4))
         assert cfg.ebn0_db == (0.0, 4.0)
@@ -106,31 +119,31 @@ class TestRunPoint:
         assert pt.bit_errors >= 30
         assert pt.bits_simulated % frame_bits == 0
         assert pt.bits_simulated < 50 * frame_bits
-        # a pool stops at the same frame, and starts few frames past it
-        calls = []
+        # no frame past the stopping one is started, for any worker count
         run_frame = sim._run_frame
+        for workers in (1, 4):
+            calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return run_frame(*args, **kwargs)
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return run_frame(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "_run_frame", counted)
-        assert run_point(cfg, 0.0, workers=4) == pt
-        assert len(calls) <= pt.bits_simulated // frame_bits + 4 * 4
+            monkeypatch.setattr(sim, "_run_frame", counted)
+            assert run_point(cfg, 0.0, workers=workers) == pt
+            assert len(calls) == pt.bits_simulated // frame_bits
 
-    def test_pool_submits_a_bounded_window(self, monkeypatch):
-        submits = []
+    def test_starts_no_thread(self, monkeypatch):
+        starts = []
+        start = threading.Thread.start
 
-        class CountingPool(ThreadPoolExecutor):
-            def submit(self, *args, **kwargs):
-                submits.append(1)
-                return super().submit(*args, **kwargs)
+        def counted(thread):
+            starts.append(thread.name)
+            start(thread)
 
-        monkeypatch.setattr(sim, "ThreadPoolExecutor", CountingPool)
-        cfg = small_config(frames=10_000, ebn0_db=(-6.0,), max_bit_errors=1)
-        pt = run_point(cfg, -6.0, workers=2)
-        frames_run = pt.bits_simulated // (4 * 32 * 2)
-        assert len(submits) <= frames_run + 4 * 2
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        cfg = small_config(frames=6, ebn0_db=(3.0,))
+        run_point(cfg, 3.0, workers=4)
+        assert starts == []
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the heap pad is set through glibc's mallopt")
@@ -159,6 +172,16 @@ class TestRunPoint:
         for workers in (0, -5):
             with pytest.raises(ValueError, match="worker count"):
                 run_point(small_config(), 4.0, workers=workers)
+
+    @pytest.mark.parametrize("ebn0_db,workers,message", [
+        (float("-inf"), 1, "ebn0 values must be finite"),
+        (float("nan"), 1, "ebn0 values must be finite"),
+        (4.0, 2.5, "worker count"),
+        (4.0, "2", "worker count"),
+    ])
+    def test_rejects_bad_arguments(self, ebn0_db, workers, message):
+        with pytest.raises(ValueError, match=message):
+            run_point(small_config(), ebn0_db, workers=workers)
 
     # (bits_simulated, bit_errors) at 0 dB over 2 frames of 4 symbols, seed 9
     @pytest.mark.parametrize("scheme,n_tx,n_rx,expected", [
