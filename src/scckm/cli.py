@@ -14,9 +14,25 @@ import sys
 from .ofdm import OfdmParams
 from .sim import SCHEMES, SimConfig, emit_csv, run_sweep
 
-_INT_KEYS = ("ntx", "nrx", "frames", "seed", "taps", "nsub", "cp",
-             "symbols_per_frame", "max_bit_errors", "workers")
-_KEYS = _INT_KEYS + ("scheme", "ebn0", "out")
+# name: (type, default, help) in --help order.  The flag is --name with dashes, the
+# config-file key the name with dashes or underscores; a None default means required,
+# or off where the help says so.  ebn0 stays a string for parse_ebn0 (exit 1, not 2).
+SETTINGS = {
+    "scheme": (str, None, "modulation scheme"),
+    "ntx": (int, None, "transmit antennas (implied for scck*)"),
+    "nrx": (int, None, "receive antennas"),
+    "ebn0": (str, None, "comma list or start:step:stop, in dB"),
+    "frames": (int, 1000, "frames per point"),
+    "seed": (int, 1, "master seed"),
+    "out": (str, None, "output CSV path (default stdout)"),
+    "taps": (int, 2, "channel tap count"),
+    "nsub": (int, 256, "subcarriers"),
+    "cp": (int, 16, "cyclic prefix length"),
+    "symbols_per_frame": (int, 20, "OFDM symbols per frame"),
+    "max_bit_errors": (int, None, "early-stop threshold per point (default off)"),
+    "workers": (int, 1, "an integer >= 1, no other effect: frames run on one thread"),
+}
+DEFAULTS = {name: default for name, (_, default, _) in SETTINGS.items()}
 
 
 def parse_ebn0(text: str) -> tuple:
@@ -55,7 +71,7 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             name = key.strip().replace("-", "_")
-            if name not in _KEYS:
+            if name not in SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key.strip()!r}")
             settings[name] = value.strip()
     return settings
@@ -63,92 +79,62 @@ def read_config_file(path: str) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="scckm", description="Monte Carlo BER sweeps for SCCKM and SM over MIMO-OFDM"
-    )
+        prog="scckm", description="Monte Carlo BER sweeps for SCCKM and SM over MIMO-OFDM")
     parser.add_argument("--config", help="key=value settings file; flags override it")
-    parser.add_argument("--scheme", choices=SCHEMES)
-    parser.add_argument("--ntx", type=int, help="transmit antennas (implied for scck*)")
-    parser.add_argument("--nrx", type=int, help="receive antennas")
-    parser.add_argument("--ebn0", help="comma list or start:step:stop, in dB")
-    parser.add_argument("--frames", type=int, help="frames per point (default 1000)")
-    parser.add_argument("--seed", type=int, help="master seed (default 1)")
-    parser.add_argument("--out", help="output CSV path (default stdout)")
-    parser.add_argument("--taps", type=int, help="channel tap count (default 2)")
-    parser.add_argument("--nsub", type=int, help="subcarriers (default 256)")
-    parser.add_argument("--cp", type=int, help="cyclic prefix length (default 16)")
-    parser.add_argument("--symbols-per-frame", type=int, dest="symbols_per_frame",
-                        help="OFDM symbols per frame (default 20)")
-    parser.add_argument("--max-bit-errors", type=int, dest="max_bit_errors",
-                        help="early-stop threshold per point (default off)")
-    parser.add_argument("--workers", type=int,
-                        help="an integer >= 1 (default 1) with no other effect: "
-                             "frames run in order on one thread")
+    for name, (kind, default, text) in SETTINGS.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=kind,
+                            choices=SCHEMES if name == "scheme" else None,
+                            help=text if default is None else f"{text} (default {default})")
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    settings: dict = {}
+    settings = dict(DEFAULTS)
     if args.config:
         settings.update(read_config_file(args.config))
-    for key, value in vars(args).items():
-        if key != "config" and value is not None:
-            settings[key] = value
-    # flags arrive as ints from argparse; strings come from the config file
-    for key in _INT_KEYS:
-        value = settings.get(key)
-        if isinstance(value, str):
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key != "config" and value is not None)
+    # flags arrive typed from argparse; strings come from the config file
+    for key, (kind, _, _) in SETTINGS.items():
+        if kind is int and isinstance(value := settings[key], str):
             try:
                 settings[key] = int(value)
             except ValueError:
                 raise ValueError(f"{args.config}: key {key!r} expects an integer, "
                                  f"got {value!r}") from None
-    if isinstance(settings.get("ebn0"), str):
+    if settings["ebn0"] is not None:
         settings["ebn0"] = parse_ebn0(settings["ebn0"])
     return settings
 
 
 def build_config(settings: dict) -> SimConfig:
-    scheme = settings.get("scheme")
+    """A SimConfig from resolved settings; a missing setting takes its default."""
+    settings = {**DEFAULTS, **settings}
+    scheme = settings["scheme"]
     if not scheme:
         raise ValueError("a scheme is required (--scheme or scheme= in the config file)")
-    ntx = settings.get("ntx")
+    ntx = settings["ntx"]
     if ntx is None and scheme in SCHEMES:
         ntx = SCHEMES[scheme].fixed_n_tx
     if ntx is None:
         raise ValueError(f"{scheme} requires --ntx")
-    nrx = settings.get("nrx")
-    if nrx is None:
+    if settings["nrx"] is None:
         raise ValueError("--nrx is required")
-    ebn0 = settings.get("ebn0")
-    if not ebn0:
+    if not settings["ebn0"]:
         raise ValueError("--ebn0 is required")
-    ofdm = OfdmParams(n_sub=settings.get("nsub", 256), cp_len=settings.get("cp", 16))
-    return SimConfig(
-        scheme=scheme,
-        n_tx=ntx,
-        n_rx=nrx,
-        ebn0_db=tuple(ebn0),
-        frames=settings.get("frames", 1000),
-        seed=settings.get("seed", 1),
-        symbols_per_frame=settings.get("symbols_per_frame", 20),
-        ofdm=ofdm,
-        taps=settings.get("taps", 2),
-        max_bit_errors=settings.get("max_bit_errors"),
-    )
+    return SimConfig(scheme=scheme, n_tx=ntx, n_rx=settings["nrx"],
+                     ebn0_db=tuple(settings["ebn0"]), frames=settings["frames"],
+                     seed=settings["seed"], symbols_per_frame=settings["symbols_per_frame"],
+                     ofdm=OfdmParams(n_sub=settings["nsub"], cp_len=settings["cp"]),
+                     taps=settings["taps"], max_bit_errors=settings["max_bit_errors"])
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = _resolve(args)
-        config = build_config(settings)
-        workers = settings.get("workers", 1)
-        curve = run_sweep(config, workers=workers)
-        out = settings.get("out")
-        if out:
-            emit_csv(curve, out)
-        else:
-            emit_csv(curve, sys.stdout)
+        curve = run_sweep(build_config(settings), workers=settings["workers"])
+        emit_csv(curve, settings["out"] or sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,7 +7,8 @@ antenna.  SM's table holds each constellation point on each single antenna:
 the leading log2(N_t) bits pick the antenna (natural binary), the rest pick a
 unit-energy point (Gray labeled).  Zero forcing solves the normal equations
 of every subcarrier in one batch through their Cholesky factors and falls
-back to the pseudo-inverse where the Gram matrix is ill-conditioned.
+back to the pseudo-inverse where the Gram matrix is ill-conditioned, or for
+the whole symbol when the batched factorization fails.
 Detection is one exhaustive minimum squared Euclidean distance search over
 the table rows, the same blocked GEMM for both schemes, with ties resolved to
 the lowest row: the lowest codeword index, or the lowest antenna and then the
@@ -52,7 +53,7 @@ def _check_bits(bits: np.ndarray, rows: int) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.shape[0] != rows:
         raise ValueError(f"bit matrix must have {rows} rows, got shape {bits.shape}")
-    if not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bit matrix entries must be 0 or 1")
     return bits
 
@@ -94,31 +95,30 @@ def sm_map(bits: np.ndarray, n_tx: int, constellation: str) -> np.ndarray:
 
 
 def zf_equalize(received: np.ndarray, h_k: np.ndarray) -> np.ndarray:
-    """Least-squares channel inversion for one subcarrier.
+    """Least-squares channel inversion for one subcarrier, or a stack of them:
+    received (..., n_rx), h_k (..., n_rx, n_tx) -> (..., n_tx).
 
     Uses the SVD-based pseudo-inverse with relative cutoff ZF_RCOND; a
     rank-deficient matrix is truncated rather than rejected, so the caller
     always gets the least-squares solution.
     """
     h_k = np.asarray(h_k)
-    if h_k.shape[0] < h_k.shape[1]:
+    if h_k.shape[-2] < h_k.shape[-1]:
         raise ValueError(f"need n_rx >= n_tx, got channel shape {h_k.shape}")
-    return np.linalg.pinv(h_k, rcond=ZF_RCOND) @ np.asarray(received)
+    return (np.linalg.pinv(h_k, rcond=ZF_RCOND) @ np.asarray(received)[..., None])[..., 0]
 
 
 def _cholesky(gram: np.ndarray):
     """Cholesky factors of a stack of Gram matrices, and a flag for each one
-    whose factorization fails or whose smallest pivot |L_ii|^2 is below
-    ZF_RCOND times its largest.  A flagged matrix gets the identity as its
-    factor, so substitutions through the stack cannot fail."""
+    whose smallest pivot |L_ii|^2 is below ZF_RCOND times its largest.  When
+    numpy rejects the stack, every matrix is flagged.  A flagged matrix gets
+    the identity as its factor, so substitutions through the stack cannot
+    fail."""
     try:
         factor = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        # numpy rejects the whole stack, so find the failures one at a time
-        if len(gram) == 1:
-            return np.eye(gram.shape[1], dtype=gram.dtype)[None], np.ones(1, dtype=bool)
-        factors, flags = zip(*(_cholesky(g[None]) for g in gram))
-        return np.concatenate(factors), np.concatenate(flags)
+        factor = np.broadcast_to(np.eye(gram.shape[1], dtype=gram.dtype), gram.shape)
+        return factor, np.ones(len(gram), dtype=bool)
     pivots = np.diagonal(factor, axis1=1, axis2=2).real ** 2
     bad = pivots.min(axis=1) < ZF_RCOND * pivots.max(axis=1)
     factor[bad] = np.eye(gram.shape[1])
@@ -147,7 +147,8 @@ def zf_equalize_grid(received: np.ndarray, hk: np.ndarray) -> np.ndarray:
     batch, through the Cholesky factor that also tests the conditioning.  A
     subcarrier whose Gram matrix fails that test (_cholesky) goes through the
     pseudo-inverse of zf_equalize instead, so a rank-deficient channel still
-    gets the truncated least-squares answer.
+    gets the truncated least-squares answer.  When the batched factorization
+    fails outright, the whole symbol goes through the pseudo-inverse.
     """
     received = np.asarray(received)
     if hk.shape[1] < hk.shape[2]:
@@ -156,8 +157,7 @@ def zf_equalize_grid(received: np.ndarray, hk: np.ndarray) -> np.ndarray:
     factor, bad = _cholesky(hk_h @ hk)
     equalized = _cholesky_solve(factor, (hk_h @ received[:, :, None])[:, :, 0])
     if bad.any():
-        pinv = np.linalg.pinv(hk[bad], rcond=ZF_RCOND)
-        equalized[bad] = np.einsum("kij,kj->ki", pinv, received[bad])
+        equalized[bad] = zf_equalize(received[bad], hk[bad])
     return equalized
 
 

@@ -76,11 +76,19 @@ SCHEMES = {
 }
 
 
-def _finite_or_inf(ebn0_db) -> float:
-    """ebn0_db as a float; NaN and -inf have no noise variance."""
+def _finite_or_inf(config: SimConfig, ebn0_db) -> float:
+    """ebn0_db as a float: +inf (noiseless), or a finite value whose noise
+    variance is a finite positive float.  NaN and -inf have none."""
     value = float(ebn0_db)
     if math.isnan(value) or value == -math.inf:
         raise ValueError(f"ebn0 values must be finite or +inf, got {value}")
+    try:
+        n0 = noise_variance(config, value)
+    except (OverflowError, ZeroDivisionError):  # 10 ** (value / 10) overflowed or hit 0
+        n0 = math.nan
+    if value < math.inf and not 0.0 < n0 < math.inf:
+        raise ValueError(f"ebn0 {value} dB is out of range: its noise variance "
+                         f"is not a finite positive float")
     return value
 
 
@@ -122,11 +130,12 @@ class SimConfig:
             raise ValueError(
                 f"zero forcing needs n_rx >= n_tx, got {self.n_rx} < {self.n_tx}"
             )
-        if isinstance(self.ebn0_db, str):
+        # a string is 0-d to numpy too: "10" would otherwise run 1 dB and 0 dB
+        if np.ndim(self.ebn0_db) != 1:
             raise ValueError(f"ebn0 must be a sequence of numbers, got {self.ebn0_db!r}")
-        if not self.ebn0_db:
+        if not len(self.ebn0_db):
             raise ValueError("ebn0 list must be non-empty")
-        ebn0_db = tuple(_finite_or_inf(e) for e in self.ebn0_db)
+        ebn0_db = tuple(_finite_or_inf(self, e) for e in self.ebn0_db)
         if self.taps > self.ofdm.cp_len + 1:
             raise ValueError(
                 f"{self.taps} taps exceed cyclic prefix length {self.ofdm.cp_len} + 1"
@@ -220,7 +229,7 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     """
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"worker count must be an integer >= 1, got {workers!r}")
-    ebn0_db = _finite_or_inf(ebn0_db)
+    ebn0_db = _finite_or_inf(config, ebn0_db)
     n0 = noise_variance(config, ebn0_db)
     ops = _scheme_ops(config)
     limit = config.max_bit_errors

@@ -22,8 +22,9 @@ class TestMapping:
         assert np.allclose(np.sum(np.abs(grid) ** 2, axis=0), 1.0)
 
     def test_scck_map_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            scck_map(np.array([[0, 2], [1, 0]]), cck2_codebook())
+        for bad in (2, -1, 0.5):
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                scck_map(np.array([[0, bad], [1, 0]]), cck2_codebook())
 
     def test_sm_map_single_active_antenna(self):
         bits = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0]])
@@ -100,7 +101,7 @@ class TestZeroForcing:
         r = rng.normal(size=(40, n_rx)) + 1j * rng.normal(size=(40, n_rx))
         singular = hk.copy()
         # a zero column: numpy's Cholesky rejects the whole stack, so the grid
-        # has to find the failing subcarrier one matrix at a time
+        # sends every subcarrier of the symbol through the pseudo-inverse
         singular[7, :, 0] = 0
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(np.conj(np.swapaxes(singular, 1, 2)) @ singular)

@@ -45,9 +45,17 @@ class TestSimConfig:
             small_config(ebn0_db=(float("-inf"),))
 
     def test_rejects_string_ebn0(self):
-        # a string is a sequence too: "10" would run points at 1 dB and 0 dB
-        with pytest.raises(ValueError, match="ebn0"):
-            small_config(ebn0_db="10")
+        # a string is a sequence too: "10" would run points at 1 dB and 0 dB;
+        # a scalar gets the same message, 0.0 included
+        for ebn0_db in ("10", 5.0, 0.0):
+            with pytest.raises(ValueError, match="^ebn0 must be a sequence of numbers"):
+                small_config(ebn0_db=ebn0_db)
+
+    # the noise variance of each would overflow, divide by zero or be inf
+    @pytest.mark.parametrize("ebn0_db", [4000.0, -3300.0, -3234.0])
+    def test_rejects_ebn0_without_noise_variance(self, ebn0_db):
+        with pytest.raises(ValueError, match=f"^ebn0 {ebn0_db} dB is out of range"):
+            small_config(ebn0_db=(ebn0_db,))
 
     def test_taps_must_fit_in_prefix(self):
         with pytest.raises(ValueError):
@@ -178,6 +186,9 @@ class TestRunPoint:
         (float("nan"), 1, "ebn0 values must be finite"),
         (4.0, 2.5, "worker count"),
         (4.0, "2", "worker count"),
+        (4000.0, 1, "ebn0 4000.0 dB is out of range"),
+        (-3300.0, 1, "ebn0 -3300.0 dB is out of range"),
+        (-3234.0, 1, "ebn0 -3234.0 dB is out of range"),
     ])
     def test_rejects_bad_arguments(self, ebn0_db, workers, message):
         with pytest.raises(ValueError, match=message):
@@ -393,6 +404,33 @@ class TestMain:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: ebn0 range needs finite start:step:stop, got '0:2:inf'\n")
+
+    def test_out_of_range_ebn0_exits_1(self, capsys):
+        rc = main(["--scheme", "scck2", "--nrx", "2", "--ebn0", "0,4000"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ebn0 4000.0 dB is out of range: its noise variance is not "
+            "a finite positive float\n")
+
+    # one value per setting, each different from its default; out is set per run
+    SETTING_VALUES = {"scheme": "sm-4qam", "ntx": "2", "nrx": "3", "ebn0": "0,3",
+                      "frames": "3", "seed": "5", "out": None, "taps": "3", "nsub": "32",
+                      "cp": "4", "symbols_per_frame": "2", "max_bit_errors": "40",
+                      "workers": "2"}
+
+    @pytest.mark.parametrize("name", list(SETTING_VALUES))
+    def test_config_key_matches_flag(self, tmp_path, name):
+        def run(side):
+            values = dict(self.SETTING_VALUES, out=str(tmp_path / f"{side}.csv"))
+            in_file = {name: values.pop(name)} if side == "file" else {}
+            cfg_file = tmp_path / f"{side}.cfg"
+            cfg_file.write_text("".join(f"{k.replace('_', '-')} = {v}\n"
+                                        for k, v in in_file.items()))
+            flags = [arg for k, v in values.items() for arg in ("--" + k.replace("_", "-"), v)]
+            assert main(["--config", str(cfg_file)] + flags) == 0
+            return (tmp_path / f"{side}.csv").read_bytes()
+
+        assert run("file") == run("flag")
 
     def test_missing_scheme_exits_1(self):
         assert main(["--nrx", "2", "--ebn0", "10"]) == 1
