@@ -5,20 +5,23 @@ Run from the repository root:
 
     python3 scripts/bench_chain.py --before <git revision> --out BENCH.json
 
-The ``--before`` revision's ``src/`` is extracted with ``git archive``; the
-"after" side is this checkout's ``src/``.  Both sides run in alternating
-fresh interpreters, ``--reps`` each.  One interpreter runs every config of
-the matrix below, each two ways, all at seed 1 and one Eb/N0:
+The ``--before`` revision's ``src/`` is extracted with ``git archive`` and
+this checkout's ``src/`` is copied, into sibling directories of one temporary
+directory with names of one length, so that neither side runs from this
+checkout.  Both sides run in alternating fresh interpreters, ``--reps`` each.
+One interpreter runs every config of the matrix below, each two ways, all at
+seed 1 and one Eb/N0:
 
 * untraced: ms per OFDM symbol and minor page faults per symbol;
 * with the stage calls ``scckm.sim`` makes timed by
   ``perfbench/tracing.py``: ms per symbol by stage.
 
-The JSON holds the median of each over the reps, the error counts of each
-side (every run of a side must give the same counts), the machine (cores,
-numpy, BLAS and its thread variables) and the line count of each side's
-``src/scckm``.  The script writes the JSON and prints one row per config,
-then exits 1 if any config's error counts differ between the two sides.
+The JSON holds the median of each over the reps, with the quartiles of ms
+per symbol beside its median, the error counts of each side (every run of a
+side must give the same counts), the machine (cores, numpy, BLAS and its
+thread variables) and the line count of each side's ``src/scckm``.  The
+script writes the JSON and prints one row per config, then exits 1 if any
+config's error counts differ between the two sides.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -72,8 +76,11 @@ def measure(src: Path) -> dict:
     """Every config two ways in this interpreter, with scckm from ``src``."""
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(ROOT / "perfbench"))
+    import scckm
     import tracing
     from scckm.sim import SimConfig, run_point
+    if not Path(scckm.__file__).is_relative_to(src):
+        raise RuntimeError(f"imported scckm from {scckm.__file__}, not from {src}")
 
     results = {}
     for name, scheme, n_tx, n_rx in CONFIGS:
@@ -132,6 +139,9 @@ def median_of(runs: list, config: str) -> dict:
         raise RuntimeError(f"{config}: counts differ between runs of one side")
     summary = {key: statistics.median(r[config][key] for r in runs)
                for key in ("ms_per_symbol", "faults_per_symbol")}
+    quartiles = statistics.quantiles([r[config]["ms_per_symbol"] for r in runs], n=4,
+                                     method="inclusive")
+    summary["ms_per_symbol_quartiles"] = [quartiles[0], quartiles[2]]
     summary["stage_ms_per_symbol"] = {
         stage: statistics.median(r[config]["stage_ms_per_symbol"].get(stage, 0.0)
                                  for r in runs)
@@ -142,12 +152,15 @@ def median_of(runs: list, config: str) -> dict:
 
 
 def compare(before_rev: str, reps: int) -> dict:
-    after_src = ROOT / "src"
     with tempfile.TemporaryDirectory() as tmp:
+        before_src, after_src = Path(tmp, "old", "src"), Path(tmp, "new", "src")
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
                                   before_rev, "src"], capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        before_src = Path(tmp) / "src"
+        before_src.parent.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(before_src.parent)], input=archive.stdout,
+                       check=True)
+        shutil.copytree(ROOT / "src", after_src,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         runs = {"before": [], "after": []}
         for rep in range(reps):
             order = ("before", "after") if rep % 2 == 0 else ("after", "before")
@@ -166,17 +179,24 @@ def compare(before_rev: str, reps: int) -> dict:
         "after": {"revision": "working tree", "src_scckm_lines": lines["after"]},
         "settings": {"seed": SEED, "ebn0_db": EBN0_DB, "frames": FRAMES,
                      "symbols_per_frame": SYMBOLS_PER_FRAME, "reps": reps,
-                     "statistic": "median over reps"},
+                     "statistic": "median over reps, and quartiles (inclusive) of "
+                                  "ms_per_symbol"},
         "machine": machine_facts(),
         "configs": configs,
     }
+
+
+def ms_cell(side: dict) -> str:
+    """A side's ms per symbol as "median [first quartile, third quartile]"."""
+    low, high = side["ms_per_symbol_quartiles"]
+    return f"{side['ms_per_symbol']:.3f} [{low:.3f}, {high:.3f}]"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", help="git revision to compare against")
     parser.add_argument("--out", type=Path, help="JSON file to write")
-    parser.add_argument("--reps", type=int, default=7, help="interpreters per side")
+    parser.add_argument("--reps", type=int, default=15, help="interpreters per side")
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child is not None:
@@ -184,13 +204,12 @@ def main(argv=None) -> int:
         return 0
     if args.before is None or args.out is None:
         parser.error("--before and --out are required")
-    if args.reps < 1:
-        parser.error("--reps must be >= 1")
+    if args.reps < 2:
+        parser.error("--reps must be >= 2: quartiles need two runs")
     report = compare(args.before, args.reps)
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for name, row in report["configs"].items():
-        print(f"{name}: {row['before']['ms_per_symbol']:.3f} -> "
-              f"{row['after']['ms_per_symbol']:.3f} ms/symbol "
+        print(f"{name}: {ms_cell(row['before'])} -> {ms_cell(row['after'])} ms/symbol "
               f"({row['speedup']:.2f}x), faults/symbol "
               f"{row['before']['faults_per_symbol']:.0f} -> "
               f"{row['after']['faults_per_symbol']:.0f}, counts equal: {row['counts_equal']}")

@@ -114,10 +114,11 @@ def build_config(settings: dict) -> SimConfig:
     if not scheme:
         raise ValueError("a scheme is required (--scheme or scheme= in the config file)")
     ntx = settings["ntx"]
+    # an unknown scheme is left for SimConfig to report
     if ntx is None and scheme in SCHEMES:
-        ntx = SCHEMES[scheme].fixed_n_tx
-    if ntx is None:
-        raise ValueError(f"{scheme} requires --ntx")
+        if SCHEMES[scheme].codebook is None:
+            raise ValueError(f"{scheme} requires --ntx")
+        ntx = SCHEMES[scheme].table().shape[1]
     if settings["nrx"] is None:
         raise ValueError("--nrx is required")
     if not settings["ebn0"]:

@@ -58,12 +58,12 @@ def _check_bits(bits: np.ndarray, rows: int) -> np.ndarray:
     return bits
 
 
-def _scck_table(codebook: Codebook) -> np.ndarray:
+def scck_table(codebook: Codebook) -> np.ndarray:
     """Transmit table of a codebook: row i is codeword i at unit energy."""
     return np.asarray(codebook.entries, dtype=np.complex128) / math.sqrt(codebook.length_n)
 
 
-def _sm_table(n_tx: int, constellation: str) -> np.ndarray:
+def sm_table(n_tx: int, constellation: str) -> np.ndarray:
     """Transmit table of SM: row a*M + l puts point l on antenna a, so the row
     index is the antenna bits followed by the label bits."""
     n_tx = int(n_tx)
@@ -86,12 +86,12 @@ def _map(bits: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def scck_map(bits: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Map an (m, n_sub) bit matrix to an (N_t, n_sub) symbol grid."""
-    return _map(bits, _scck_table(codebook))
+    return _map(bits, scck_table(codebook))
 
 
 def sm_map(bits: np.ndarray, n_tx: int, constellation: str) -> np.ndarray:
     """Map bits to a single active antenna plus constellation point per column."""
-    return _map(bits, _sm_table(n_tx, constellation))
+    return _map(bits, sm_table(n_tx, constellation))
 
 
 def zf_equalize(received: np.ndarray, h_k: np.ndarray) -> np.ndarray:
@@ -201,7 +201,7 @@ def _ml_search(equalized: np.ndarray, table: np.ndarray) -> Detection:
 
 def ml_detect_scck_grid(equalized: np.ndarray, codebook: Codebook) -> Detection:
     """Closest power-normalized codeword per row of an (n_sub, N_t) grid."""
-    return _ml_search(equalized, _scck_table(codebook))
+    return _ml_search(equalized, scck_table(codebook))
 
 
 def ml_detect_sm_equalized_grid(equalized: np.ndarray, n_tx: int,
@@ -213,4 +213,4 @@ def ml_detect_sm_equalized_grid(equalized: np.ndarray, n_tx: int,
     antenna * M + label for M points), so ties resolve to the lower antenna,
     then the lower point label.
     """
-    return _ml_search(equalized, _sm_table(n_tx, constellation))
+    return _ml_search(equalized, sm_table(n_tx, constellation))

@@ -40,9 +40,7 @@ def ofdm_modulate(grid_row: np.ndarray, params: OfdmParams) -> np.ndarray:
             f"expected {params.n_sub} subcarriers, got {grid_row.shape[-1]}"
         )
     time = np.fft.ifft(grid_row, axis=-1) * math.sqrt(params.n_sub)
-    if params.cp_len == 0:
-        return time
-    return np.concatenate([time[..., -params.cp_len:], time], axis=-1)
+    return np.concatenate([time[..., params.n_sub - params.cp_len:], time], axis=-1)
 
 
 def ofdm_demodulate(samples: np.ndarray, params: OfdmParams) -> np.ndarray:

@@ -13,6 +13,7 @@ import ctypes
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,7 +22,7 @@ from .cck import (Codebook, cck2_codebook, cck4_reference_codebook, cck8_codeboo
                   open_text)
 from .channel import apply_channel, freq_response, generate_channel
 from .modem import (ml_detect_scck_grid, ml_detect_sm_equalized_grid, scck_map,
-                    sm_map, zf_equalize_grid)
+                    scck_table, sm_map, sm_table, zf_equalize_grid)
 from .ofdm import OfdmParams, ofdm_demodulate, ofdm_modulate
 
 # glibc's mallopt parameter, and the free space it keeps above the heap top
@@ -54,25 +55,28 @@ _keep_heap_top_pad()
 
 
 class Scheme(NamedTuple):
-    """What a scheme name fixes.
+    """What a scheme name fixes: a CCK codebook or an SM constellation.
 
-    SCCK spreads one codeword over the antennas, so its length fixes n_tx.  SM
-    takes any power-of-two n_tx and adds log2(n_tx) antenna bits per subcarrier
-    to the symbol_bits of its constellation point.
+    The rest follows from the transmit table: its row count is 2**(bits per
+    subcarrier), and an SCCK table's width, the codeword length, fixes n_tx.
     """
 
-    symbol_bits: int
-    fixed_n_tx: int | None = None
     codebook: Callable[[], Codebook] | None = None
     constellation: str | None = None
 
+    def table(self, n_tx: int | None = None) -> np.ndarray:
+        """The unit-energy (2**m, n_tx) transmit table; SCCK ignores n_tx."""
+        if self.codebook is not None:
+            return scck_table(self.codebook())
+        return sm_table(n_tx, self.constellation)
+
 
 SCHEMES = {
-    "scck2": Scheme(2, fixed_n_tx=2, codebook=cck2_codebook),
-    "scck4": Scheme(4, fixed_n_tx=4, codebook=cck4_reference_codebook),
-    "scck8": Scheme(8, fixed_n_tx=8, codebook=cck8_codebook),
-    "sm-bpsk": Scheme(1, constellation="bpsk"),
-    "sm-4qam": Scheme(2, constellation="4qam"),
+    "scck2": Scheme(codebook=cck2_codebook),
+    "scck4": Scheme(codebook=cck4_reference_codebook),
+    "scck8": Scheme(codebook=cck8_codebook),
+    "sm-bpsk": Scheme(constellation="bpsk"),
+    "sm-4qam": Scheme(constellation="4qam"),
 }
 
 
@@ -106,6 +110,9 @@ class SimConfig:
     max_bit_errors: int | None = None
 
     def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(
+                f"unknown scheme {self.scheme!r}, expected one of {tuple(SCHEMES)}")
         counts = {"transmit antenna count": self.n_tx, "receive antenna count": self.n_rx,
                   "frame count": self.frames, "symbols per frame": self.symbols_per_frame,
                   "tap count": self.taps}
@@ -116,16 +123,11 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}, expected one of {tuple(SCHEMES)}")
-        required = SCHEMES[self.scheme].fixed_n_tx
-        if required is not None and self.n_tx != required:
+        # SM's table rejects a count that is not a power of two
+        required = SCHEMES[self.scheme].table(self.n_tx).shape[1]
+        if self.n_tx != required:
             raise ValueError(
                 f"{self.scheme} requires {required} transmit antennas, got {self.n_tx}")
-        if required is None and (self.n_tx < 2 or self.n_tx & (self.n_tx - 1)):
-            raise ValueError(
-                f"transmit antenna count must be a power of two >= 2, got {self.n_tx}")
         if self.n_rx < self.n_tx:
             raise ValueError(
                 f"zero forcing needs n_rx >= n_tx, got {self.n_rx} < {self.n_tx}"
@@ -142,12 +144,10 @@ class SimConfig:
             )
         object.__setattr__(self, "ebn0_db", ebn0_db)
 
-    @property
+    @cached_property
     def bits_per_subcarrier(self) -> int:
-        scheme = SCHEMES[self.scheme]
-        if scheme.fixed_n_tx is not None:
-            return scheme.symbol_bits
-        return self.n_tx.bit_length() - 1 + scheme.symbol_bits
+        """log2 of the row count of the scheme's transmit table."""
+        return len(SCHEMES[self.scheme].table(self.n_tx)).bit_length() - 1
 
 
 class BerPoint(NamedTuple):
@@ -202,25 +202,6 @@ def _scheme_ops(config: SimConfig):
             lambda equalized: ml_detect_sm_equalized_grid(equalized, n_tx, name).bits)
 
 
-def _run_frame(config: SimConfig, ops, frame: int, n0: float) -> int:
-    """Simulate one frame and return its bit error count."""
-    map_bits, detect = ops
-    params = config.ofdm
-    m = config.bits_per_subcarrier
-    errors = 0
-    for symbol in range(config.symbols_per_frame):
-        rng = _symbol_rng(config.seed, frame, symbol)
-        bits = rng.integers(0, 2, size=(m, params.n_sub), dtype=np.uint8)
-        channel = generate_channel(config.n_tx, config.n_rx, config.taps, rng)
-        tx = ofdm_modulate(map_bits(bits), params)
-        rx = apply_channel(tx, channel, n0, rng)
-        received = ofdm_demodulate(rx[:, : params.n_sub + params.cp_len], params).T
-        hk = freq_response(channel, params)
-        decoded = detect(zf_equalize_grid(received, hk))
-        errors += int(np.count_nonzero(decoded != bits))
-    return errors
-
-
 def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     """Simulate one Eb/N0 point, early-stopping at max_bit_errors if set.
 
@@ -231,19 +212,29 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
         raise ValueError(f"worker count must be an integer >= 1, got {workers!r}")
     ebn0_db = _finite_or_inf(config, ebn0_db)
     n0 = noise_variance(config, ebn0_db)
-    ops = _scheme_ops(config)
+    map_bits, detect = _scheme_ops(config)
+    params = config.ofdm
+    m = config.bits_per_subcarrier
     limit = config.max_bit_errors
     errors = 0
     frames_run = 0
     for frame in range(config.frames):
-        errors += _run_frame(config, ops, frame, n0)
+        for symbol in range(config.symbols_per_frame):
+            rng = _symbol_rng(config.seed, frame, symbol)
+            bits = rng.integers(0, 2, size=(m, params.n_sub), dtype=np.uint8)
+            channel = generate_channel(config.n_tx, config.n_rx, config.taps, rng)
+            tx = ofdm_modulate(map_bits(bits), params)
+            rx = apply_channel(tx, channel, n0, rng)
+            received = ofdm_demodulate(rx[:, : params.n_sub + params.cp_len], params).T
+            hk = freq_response(channel, params)
+            decoded = detect(zf_equalize_grid(received, hk))
+            errors += int(np.count_nonzero(decoded != bits))
         frames_run += 1
         if limit is not None and errors >= limit:
             break
-    bits = frames_run * config.symbols_per_frame * config.ofdm.n_sub \
-        * config.bits_per_subcarrier
-    return BerPoint(ebn0_db=ebn0_db, bits_simulated=bits,
-                    bit_errors=errors, ber=errors / bits)
+    simulated = frames_run * config.symbols_per_frame * params.n_sub * m
+    return BerPoint(ebn0_db=ebn0_db, bits_simulated=simulated,
+                    bit_errors=errors, ber=errors / simulated)
 
 
 def run_sweep(config: SimConfig, workers: int = 1) -> BerCurve:

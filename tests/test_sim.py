@@ -12,7 +12,9 @@ import pytest
 
 import scckm
 from scckm import sim
+from scckm.cck import unpack_bits
 from scckm.cli import build_config, main, parse_ebn0, read_config_file
+from scckm.modem import scck_map, sm_map
 from scckm.ofdm import OfdmParams
 from scckm.sim import (SimConfig, canonical_config_string, emit_csv,
                        noise_variance, read_csv, run_point, run_sweep)
@@ -29,6 +31,11 @@ class TestSimConfig:
     def test_scck_antenna_count_is_bound_to_scheme(self):
         with pytest.raises(ValueError):
             small_config(scheme="scck4", n_tx=2)
+
+    @pytest.mark.parametrize("n_tx", [3, 6])
+    def test_sm_antenna_count_is_a_power_of_two(self, n_tx):
+        with pytest.raises(ValueError, match="power of two"):
+            small_config(scheme="sm-bpsk", n_tx=n_tx, n_rx=8)
 
     def test_zero_forcing_needs_enough_receivers(self):
         with pytest.raises(ValueError):
@@ -85,6 +92,34 @@ class TestSimConfig:
         assert cfg.ebn0_db == (0.0, 4.0)
 
 
+# every scheme at each antenna count it takes
+SCHEME_SIZES = [("scck2", 2), ("scck4", 4), ("scck8", 8), ("sm-bpsk", 2), ("sm-bpsk", 4),
+                ("sm-bpsk", 8), ("sm-4qam", 2), ("sm-4qam", 4), ("sm-4qam", 8)]
+
+
+class TestSchemeTable:
+    def test_sizes_cover_every_scheme(self):
+        assert {name for name, _ in SCHEME_SIZES} == set(sim.SCHEMES)
+
+    @pytest.mark.parametrize("name,n_tx", SCHEME_SIZES)
+    def test_table_fixes_bits_and_antennas(self, name, n_tx):
+        table = sim.SCHEMES[name].table(n_tx)
+        m = small_config(scheme=name, n_tx=n_tx, n_rx=n_tx).bits_per_subcarrier
+        assert table.shape == (2 ** m, n_tx)
+        np.testing.assert_allclose(np.sum(np.abs(table) ** 2, axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name,n_tx", SCHEME_SIZES)
+    def test_map_sends_the_table_rows_in_order(self, name, n_tx):
+        scheme = sim.SCHEMES[name]
+        table = scheme.table(n_tx)
+        every_pattern = unpack_bits(np.arange(len(table)), len(table).bit_length() - 1)
+        if scheme.codebook is not None:
+            grid = scck_map(every_pattern, scheme.codebook())
+        else:
+            grid = sm_map(every_pattern, n_tx, scheme.constellation)
+        assert np.array_equal(grid.T, table)
+
+
 class TestNoiseVariance:
     def test_formula(self):
         cfg = small_config(scheme="scck4", n_tx=4, n_rx=4)
@@ -127,18 +162,18 @@ class TestRunPoint:
         assert pt.bit_errors >= 30
         assert pt.bits_simulated % frame_bits == 0
         assert pt.bits_simulated < 50 * frame_bits
-        # no frame past the stopping one is started, for any worker count
-        run_frame = sim._run_frame
+        # no symbol of a frame past the stopping one runs, for any worker count
+        symbol_rng = sim._symbol_rng
         for workers in (1, 4):
             calls = []
 
             def counted(*args, **kwargs):
                 calls.append(1)
-                return run_frame(*args, **kwargs)
+                return symbol_rng(*args, **kwargs)
 
-            monkeypatch.setattr(sim, "_run_frame", counted)
+            monkeypatch.setattr(sim, "_symbol_rng", counted)
             assert run_point(cfg, 0.0, workers=workers) == pt
-            assert len(calls) == pt.bits_simulated // frame_bits
+            assert len(calls) == pt.bits_simulated // frame_bits * cfg.symbols_per_frame
 
     def test_starts_no_thread(self, monkeypatch):
         starts = []
@@ -431,6 +466,15 @@ class TestMain:
             return (tmp_path / f"{side}.csv").read_bytes()
 
         assert run("file") == run("flag")
+
+    @pytest.mark.parametrize("lines", ["scheme=qpsk\nnrx=2\nebn0=1\n",
+                                       "scheme=qpsk\nntx=2\nnrx=2\nebn0=1\n"])
+    def test_unknown_config_scheme_exits_1(self, tmp_path, capsys, lines):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(lines)
+        assert main(["--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown scheme 'qpsk', expected one of {tuple(sim.SCHEMES)}\n")
 
     def test_missing_scheme_exits_1(self):
         assert main(["--nrx", "2", "--ebn0", "10"]) == 1
