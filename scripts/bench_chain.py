@@ -10,7 +10,7 @@ this checkout's ``src/`` is copied, into sibling directories of one temporary
 directory with names of one length, so that neither side runs from this
 checkout.  Both sides run in alternating fresh interpreters, ``--reps`` each.
 One interpreter runs every config of the matrix below, each two ways, all at
-seed 1 and one Eb/N0:
+seed 1 and one Eb/N0, each for its fixed frame count (about 1 s untraced):
 
 * untraced: ms per OFDM symbol and minor page faults per symbol;
 * with the stage calls ``scckm.sim`` makes timed by
@@ -44,19 +44,22 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
-# (name, scheme, n_tx, n_rx): the config matrix of ROADMAP aim 1
+# (name, scheme, n_tx, n_rx, frames): the config matrix of ROADMAP aim 1.  Each
+# config runs a fixed frame count, never a timed one, so that both sides simulate
+# the same bits; the counts make each untraced sample about 1 s at the ms/symbol
+# of BENCH_10.json (2 vCPUs, OpenBLAS), where 80 symbols per config gave an
+# inter-quartile range of 20-30% of the median
 CONFIGS = (
-    ("scck2-2x4", "scck2", 2, 4),
-    ("scck4-4x8", "scck4", 4, 8),
-    ("scck8-8x16", "scck8", 8, 16),
-    ("sm-bpsk-8x16", "sm-bpsk", 8, 16),
-    ("sm-4qam-4x8", "sm-4qam", 4, 8),
+    ("scck2-2x4", "scck2", 2, 4, 62),
+    ("scck4-4x8", "scck4", 4, 8, 46),
+    ("scck8-8x16", "scck8", 8, 16, 25),
+    ("sm-bpsk-8x16", "sm-bpsk", 8, 16, 25),
+    ("sm-4qam-4x8", "sm-4qam", 4, 8, 40),
 )
 SEED = 1
 # every config makes bit errors at 0 dB, so equal counts check the chain's
 # decisions; the work per symbol does not depend on Eb/N0
 EBN0_DB = 0.0
-FRAMES = 4
 SYMBOLS_PER_FRAME = 20
 
 
@@ -83,10 +86,10 @@ def measure(src: Path) -> dict:
         raise RuntimeError(f"imported scckm from {scckm.__file__}, not from {src}")
 
     results = {}
-    for name, scheme, n_tx, n_rx in CONFIGS:
+    for name, scheme, n_tx, n_rx, frames in CONFIGS:
         config = SimConfig(scheme=scheme, n_tx=n_tx, n_rx=n_rx, ebn0_db=(EBN0_DB,),
-                           frames=FRAMES, seed=SEED, symbols_per_frame=SYMBOLS_PER_FRAME)
-        symbols = FRAMES * SYMBOLS_PER_FRAME
+                           frames=frames, seed=SEED, symbols_per_frame=SYMBOLS_PER_FRAME)
+        symbols = frames * SYMBOLS_PER_FRAME
         run_point(dataclasses.replace(config, frames=1, symbols_per_frame=1), EBN0_DB)
         seconds, faults, point = _timed(run_point, config)
         tracer = tracing.Tracer()
@@ -177,7 +180,8 @@ def compare(before_rev: str, reps: int) -> dict:
         "command": " ".join([Path(sys.executable).name, *sys.argv]),
         "before": {"revision": before_rev, "src_scckm_lines": lines["before"]},
         "after": {"revision": "working tree", "src_scckm_lines": lines["after"]},
-        "settings": {"seed": SEED, "ebn0_db": EBN0_DB, "frames": FRAMES,
+        "settings": {"seed": SEED, "ebn0_db": EBN0_DB,
+                     "frames": {name: frames for name, *_, frames in CONFIGS},
                      "symbols_per_frame": SYMBOLS_PER_FRAME, "reps": reps,
                      "statistic": "median over reps, and quartiles (inclusive) of "
                                   "ms_per_symbol"},

@@ -31,31 +31,31 @@ _GROUP_QUARTER_PHASE = np.array([[0, 2], [1, 3]])
 
 @dataclass(frozen=True)
 class Codebook:
-    """An ordered codeword set plus the bit-pattern bijection.
+    """An ordered codeword set: entries has one row of chips per codeword.
 
-    Entry i encodes the bit pattern whose natural-binary value is i
-    (first written bit = most significant).  entries has shape
-    (2**bits_per_codeword, length_n).
+    Row i encodes the bit pattern whose natural-binary value is i (first
+    written bit = most significant), so the row count is a power of two.
     """
 
-    length_n: int
-    bits_per_codeword: int
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = 2 ** self.bits_per_codeword
-        if self.entries.shape != (expected, self.length_n):
-            raise ValueError(
-                f"codebook shape {self.entries.shape} does not match "
-                f"({expected}, {self.length_n})"
-            )
+        rows = self.entries.shape[0] if self.entries.ndim == 2 else 0
+        if rows < 2 or rows & (rows - 1):
+            raise ValueError("codebook entries must be 2-D with a power-of-two "
+                             f"row count >= 2, got shape {self.entries.shape}")
         self.entries.setflags(write=False)
 
     def __len__(self):
         return self.entries.shape[0]
 
-    def bit_pattern(self, index: int) -> str:
-        return format(index, f"0{self.bits_per_codeword}b")
+    @property
+    def length_n(self) -> int:
+        return self.entries.shape[1]
+
+    @property
+    def bits_per_codeword(self) -> int:
+        return self.entries.shape[0].bit_length() - 1
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -110,8 +110,7 @@ def _cck_chips(phases: np.ndarray, units: np.ndarray) -> np.ndarray:
 def cck2_codebook() -> Codebook:
     """Four 2-bit codewords (e^{j(phi1+phi2)}, e^{j phi1}), bit 1 -> phase pi."""
     phases = unpack_bits(np.arange(4), 2).T  # first written bit -> phi1
-    return Codebook(length_n=2, bits_per_codeword=2,
-                    entries=_cck_chips(phases, _HALF_UNITS))
+    return Codebook(_cck_chips(phases, _HALF_UNITS))
 
 
 def cck4_enumerate() -> np.ndarray:
@@ -133,8 +132,7 @@ _CCK4_REFERENCE_TRIPLES = np.array(
 
 def cck4_reference_codebook() -> Codebook:
     """The fixed sub-optimum 16-entry 4-bit codebook."""
-    entries = _cck_chips(_CCK4_REFERENCE_TRIPLES, _THIRD_UNITS)
-    return Codebook(length_n=4, bits_per_codeword=4, entries=entries)
+    return Codebook(_cck_chips(_CCK4_REFERENCE_TRIPLES, _THIRD_UNITS))
 
 
 def _sq_distances(entries: np.ndarray) -> np.ndarray:
@@ -145,8 +143,6 @@ def _sq_distances(entries: np.ndarray) -> np.ndarray:
 
 def min_distance(codebook: Codebook) -> float:
     """Minimum chip-wise Euclidean distance over all unordered codeword pairs."""
-    if len(codebook) < 2:
-        raise ValueError("min distance needs at least 2 codewords")
     d2 = _sq_distances(codebook.entries)
     return float(np.sqrt(np.min(d2[np.triu_indices(len(d2), k=1)])))
 
@@ -205,8 +201,7 @@ def select_cck4_subset(candidates: np.ndarray, num_random_subsets: int,
     """Randomized search for a 16-of-27 subset maximizing minimum distance."""
     candidates = np.asarray(candidates)
     idx = select_min_distance_subset(candidates, 16, num_random_subsets, rng)
-    return Codebook(length_n=4, bits_per_codeword=4,
-                    entries=candidates[list(idx)].copy())
+    return Codebook(candidates[list(idx)].copy())
 
 
 def cck8_codeword(byte: str) -> np.ndarray:
@@ -226,8 +221,7 @@ def cck8_codebook() -> Codebook:
     """All 256 length-8 codewords indexed by byte value."""
     bits = unpack_bits(np.arange(256), 8).T  # (256, 8)
     phases = _GROUP_QUARTER_PHASE[bits[:, 0::2], bits[:, 1::2]]
-    return Codebook(length_n=8, bits_per_codeword=8,
-                    entries=_cck_chips(phases, _QUARTER_UNITS))
+    return Codebook(_cck_chips(phases, _QUARTER_UNITS))
 
 
 @contextlib.contextmanager
@@ -247,6 +241,7 @@ def export_codebook_csv(codebook: Codebook, destination) -> None:
             f"chip_{j}_re,chip_{j}_im" for j in range(codebook.length_n)
         )
         fh.write(f"index,bit_pattern,{chip_cols}\n")
+        m = codebook.bits_per_codeword
         for i, row in enumerate(codebook.entries):
             chips = ",".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in row)
-            fh.write(f"{i},{codebook.bit_pattern(i)},{chips}\n")
+            fh.write(f"{i},{i:0{m}b},{chips}\n")

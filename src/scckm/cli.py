@@ -2,7 +2,8 @@
 
 Flags mirror an optional key=value config file (--config); explicit flags win.
 The Eb/N0 grid accepts either a comma list ("0,2,4", "inf" allowed) or an
-inclusive start:step:stop range ("0:2:10").  Output goes to --out or stdout.
+inclusive start:step:stop range ("0:2:10"), and either may start below zero.
+Output goes to --out or stdout.
 """
 
 from __future__ import annotations
@@ -131,6 +132,11 @@ def build_config(settings: dict) -> SimConfig:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as "-6,0" for a flag; "--ebn0=-6,0" it reads as a value
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--ebn0" and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = ["--ebn0=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     try:
         settings = _resolve(args)

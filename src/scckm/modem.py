@@ -41,12 +41,10 @@ _ONE_THREAD_GEMM = 4 * 65536
 
 
 class Detection(NamedTuple):
-    """Per subcarrier: the detected table row, its (m, n_sub) bits with the
-    first row most significant, and its squared distance to the input."""
+    """Per subcarrier: the detected table row, and its bits (m, n_sub), first row MSB."""
 
     indices: np.ndarray
     bits: np.ndarray
-    distances: np.ndarray
 
 
 def _check_bits(bits: np.ndarray, rows: int) -> np.ndarray:
@@ -108,67 +106,50 @@ def zf_equalize(received: np.ndarray, h_k: np.ndarray) -> np.ndarray:
     return (np.linalg.pinv(h_k, rcond=ZF_RCOND) @ np.asarray(received)[..., None])[..., 0]
 
 
-def _cholesky(gram: np.ndarray):
-    """Cholesky factors of a stack of Gram matrices, and a flag for each one
-    whose smallest pivot |L_ii|^2 is below ZF_RCOND times its largest.  When
-    numpy rejects the stack, every matrix is flagged.  A flagged matrix gets
-    the identity as its factor, so substitutions through the stack cannot
-    fail."""
-    try:
-        factor = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        factor = np.broadcast_to(np.eye(gram.shape[1], dtype=gram.dtype), gram.shape)
-        return factor, np.ones(len(gram), dtype=bool)
-    pivots = np.diagonal(factor, axis1=1, axis2=2).real ** 2
-    bad = pivots.min(axis=1) < ZF_RCOND * pivots.max(axis=1)
-    factor[bad] = np.eye(gram.shape[1])
-    return factor, bad
-
-
-def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^H x = b for a stack of lower factors L (k, n, n) and right
-    sides b (k, n): forward then back substitution, one column at a time
-    across the whole stack."""
-    x = rhs.copy()
-    n = factor.shape[1]
-    for i in range(n):
-        x[:, i] /= factor[:, i, i]
-        x[:, i + 1:] -= factor[:, i + 1:, i] * x[:, i, None]
-    for i in reversed(range(n)):
-        x[:, i] /= factor[:, i, i]
-        x[:, :i] -= factor[:, i, :i].conj() * x[:, i, None]
-    return x
-
-
 def zf_equalize_grid(received: np.ndarray, hk: np.ndarray) -> np.ndarray:
     """Batched ZF: received (n_sub, n_rx), hk (n_sub, n_rx, n_tx) -> (n_sub, n_tx).
 
     Solves the normal equations (H^H H) x = H^H y on every subcarrier in one
-    batch, through the Cholesky factor that also tests the conditioning.  A
-    subcarrier whose Gram matrix fails that test (_cholesky) goes through the
-    pseudo-inverse of zf_equalize instead, so a rank-deficient channel still
-    gets the truncated least-squares answer.  When the batched factorization
-    fails outright, the whole symbol goes through the pseudo-inverse.
+    batch through their Cholesky factors.  A subcarrier whose smallest pivot
+    |L_ii|^2 is below ZF_RCOND times its largest, or the whole symbol when the
+    batched factorization fails, goes through the pseudo-inverse of
+    zf_equalize instead, so a rank-deficient channel still gets the truncated
+    least-squares answer.
     """
     received = np.asarray(received)
     if hk.shape[1] < hk.shape[2]:
         raise ValueError(f"need n_rx >= n_tx, got channel shape {hk.shape[1:]}")
     hk_h = np.conj(np.swapaxes(hk, 1, 2))
-    factor, bad = _cholesky(hk_h @ hk)
-    equalized = _cholesky_solve(factor, (hk_h @ received[:, :, None])[:, :, 0])
+    try:
+        factor = np.linalg.cholesky(hk_h @ hk)
+    except np.linalg.LinAlgError:
+        return zf_equalize(received, hk)
+    pivots = np.diagonal(factor, axis1=1, axis2=2).real ** 2
+    bad = pivots.min(axis=1) < ZF_RCOND * pivots.max(axis=1)
+    # the identity on a flagged subcarrier keeps its substitutions finite
+    factor[bad] = np.eye(hk.shape[2])
+    # L L^H x = H^H y: forward then back substitution, one column at a time
+    # across the whole stack
+    equalized = (hk_h @ received[:, :, None])[:, :, 0]
+    for i in range(hk.shape[2]):
+        equalized[:, i] /= factor[:, i, i]
+        equalized[:, i + 1:] -= factor[:, i + 1:, i] * equalized[:, i, None]
+    for i in reversed(range(hk.shape[2])):
+        equalized[:, i] /= factor[:, i, i]
+        equalized[:, :i] -= factor[:, i, :i].conj() * equalized[:, i, None]
     if bad.any():
         equalized[bad] = zf_equalize(received[bad], hk[bad])
     return equalized
 
 
-def _closest_rows(equalized: np.ndarray, table: np.ndarray):
-    """Closest table row to each row of an (n_sub, n_tx) grid: (indices, distances).
+def _closest_rows(equalized: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Index of the closest table row to each row of an (n_sub, n_tx) grid.
 
     ||z - c||^2 = ||z||^2 - score with score = 2 Re(z c^H) - ||c||^2, so the
-    search is one real GEMM over the interleaved real/imaginary parts, run in
-    blocks of rows small enough for one thread (_ONE_THREAD_GEMM) that share
-    one score buffer.  argmax takes the first maximum, so ties resolve to the
-    lowest row index.
+    closest row scores highest: one real GEMM over the interleaved real and
+    imaginary parts, run in blocks of rows small enough for one thread
+    (_ONE_THREAD_GEMM) that share one score buffer.  argmax takes the first
+    maximum, so ties resolve to the lowest row index.
     """
     z = np.ascontiguousarray(equalized, dtype=np.complex128)
     if z.ndim != 2 or z.shape[1] != table.shape[1]:
@@ -179,7 +160,6 @@ def _closest_rows(equalized: np.ndarray, table: np.ndarray):
     energy = np.sum(np.abs(table) ** 2, axis=1)
     rows = z.view(np.float64)
     indices = np.empty(len(z), dtype=np.intp)
-    best = np.empty(len(z))
     block_rows = max(1, _ONE_THREAD_GEMM // twice.size)
     score = np.empty((min(len(z), block_rows), len(table)))
     for start in range(0, len(z), block_rows):
@@ -187,16 +167,14 @@ def _closest_rows(equalized: np.ndarray, table: np.ndarray):
         block = np.matmul(rows[part], twice.T, out=score[:len(rows[part])])
         block -= energy
         indices[part] = np.argmax(block, axis=1)
-        best[part] = block[np.arange(len(block)), indices[part]]
-    return indices, np.sum(np.abs(z) ** 2, axis=1) - best
+    return indices
 
 
 def _ml_search(equalized: np.ndarray, table: np.ndarray) -> Detection:
     # unpack only once _closest_rows has freed its score matrix: unpacking
     # while it lived made scck8 8x16 about 3% slower end to end
-    indices, distances = _closest_rows(equalized, table)
-    return Detection(indices=indices, distances=distances,
-                     bits=unpack_bits(indices, len(table).bit_length() - 1))
+    indices = _closest_rows(equalized, table)
+    return Detection(indices=indices, bits=unpack_bits(indices, len(table).bit_length() - 1))
 
 
 def ml_detect_scck_grid(equalized: np.ndarray, codebook: Codebook) -> Detection:

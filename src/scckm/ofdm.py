@@ -22,7 +22,7 @@ class OfdmParams:
     def __post_init__(self):
         for name, value in (("subcarrier count", self.n_sub),
                             ("cyclic prefix length", self.cp_len)):
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_sub < 1 or self.n_sub & (self.n_sub - 1):
             raise ValueError(f"subcarrier count must be a power of two, got {self.n_sub}")

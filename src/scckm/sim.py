@@ -119,9 +119,10 @@ class SimConfig:
         if self.max_bit_errors is not None:
             counts["max bit errors"] = self.max_bit_errors
         for name, value in counts.items():
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2 ** 64:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or not 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         # SM's table rejects a count that is not a power of two
         required = SCHEMES[self.scheme].table(self.n_tx).shape[1]

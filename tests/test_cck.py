@@ -42,6 +42,18 @@ class TestGolayPairs:
             golay_pair(0)
 
 
+class TestCodebook:
+    @pytest.mark.parametrize("shape", [(4,), (3, 2), (1, 2), (0, 2), (4, 2, 1)])
+    def test_rejects_entries_that_are_not_a_codeword_table(self, shape):
+        with pytest.raises(ValueError, match="power-of-two row count"):
+            Codebook(np.ones(shape, dtype=complex))
+
+    def test_entries_are_read_only(self):
+        cb = cck2_codebook()
+        with pytest.raises(ValueError, match="read-only"):
+            cb.entries[0, 0] = 0
+
+
 class TestCck2:
     def test_table(self):
         cb = cck2_codebook()
@@ -50,8 +62,10 @@ class TestCck2:
         assert np.array_equal(cb.entries, expected)
 
     def test_bit_patterns(self):
-        cb = cck2_codebook()
-        assert [cb.bit_pattern(i) for i in range(4)] == ["00", "01", "10", "11"]
+        buf = io.StringIO()
+        export_codebook_csv(cck2_codebook(), buf)
+        rows = buf.getvalue().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["00", "01", "10", "11"]
 
     def test_min_distance(self):
         cb = cck2_codebook()

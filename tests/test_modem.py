@@ -110,6 +110,8 @@ class TestZeroForcing:
             for k in range(40):
                 expected = zf_equalize(r[k], stack[k])
                 assert np.max(np.abs(batched[k] - expected)) <= 1e-9 * np.max(np.abs(expected))
+        # the rejected stack takes the batched pseudo-inverse, bit for bit
+        assert np.array_equal(zf_equalize_grid(r, singular), zf_equalize(r, singular))
 
     def test_degenerate_channel_still_returns(self):
         # rank-deficient matrices go through the truncated pseudo-inverse
@@ -130,7 +132,8 @@ class TestScckDetection:
             for k in range(64):
                 d2 = np.sum(np.abs(z[k] - scaled) ** 2, axis=1)
                 assert det.indices[k] == np.argmin(d2)
-                assert abs(det.distances[k] - d2.min()) < 1e-9
+                chosen = np.sum(np.abs(z[k] - scaled[det.indices[k]]) ** 2)
+                assert abs(chosen - d2.min()) < 1e-9
 
     def test_noiseless_exact(self):
         cb = cck8_codebook()
@@ -162,7 +165,9 @@ class TestSmDetection:
                         cands.append(((a, s), np.sum(np.abs(z[k] - hyp) ** 2)))
                 (a, s), d = min(cands, key=lambda c: c[1])
                 assert divmod(int(det.indices[k]), len(points)) == (a, s)
-                assert abs(det.distances[k] - d) < 1e-9
+                chosen = z[k].copy()
+                chosen[a] -= points[s]
+                assert abs(np.sum(np.abs(chosen) ** 2) - d) < 1e-9
 
     def test_equalized_noiseless_exact(self):
         z = np.zeros((4, 4), dtype=complex)
@@ -205,13 +210,16 @@ def test_blocked_search_matches_brute_force(n_sub):
         z[3::7] = 0
         d2 = np.sum(np.abs(z[:, None, :] - table[None]) ** 2, axis=2)
         expected = np.argmin(d2, axis=1)
-        indices, distances = _closest_rows(z, table)
+        def chosen(indices):
+            return np.sum(np.abs(z - table[indices]) ** 2, axis=1)
+
+        indices = _closest_rows(z, table)
         assert np.array_equal(indices, expected)
-        assert np.max(np.abs(distances - d2.min(axis=1))) < 1e-9
+        assert np.max(np.abs(chosen(indices) - d2.min(axis=1))) < 1e-9
         det = detect(z)
         assert np.array_equal(det.indices, expected)
         assert np.array_equal(det.bits, unpack_bits(expected, len(table).bit_length() - 1))
-        assert np.max(np.abs(det.distances - d2.min(axis=1))) < 1e-9
+        assert np.max(np.abs(chosen(det.indices) - d2.min(axis=1))) < 1e-9
 
 
 class TestLoopback:

@@ -17,6 +17,7 @@ def test_round_trip_identity():
 @pytest.mark.parametrize("field,value,name", [
     ("n_sub", 32.0, "subcarrier count"),
     ("cp_len", 2.5, "cyclic prefix length"),
+    ("cp_len", False, "cyclic prefix length"),  # bool is a subclass of int
 ])
 def test_params_reject_non_integer_sizes(field, value, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):

@@ -82,6 +82,9 @@ class TestSimConfig:
         ("seed", 1.5, "seed must be a 64-bit unsigned integer"),
         ("taps", 2.0, "tap count must be an integer"),
         ("max_bit_errors", 1.5, "max bit errors must be an integer"),
+        # bool is a subclass of int
+        ("frames", True, "frame count must be an integer"),
+        ("seed", True, "seed must be a 64-bit unsigned integer"),
     ])
     def test_rejects_non_integer_counts(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -433,6 +436,19 @@ class TestMain:
                    "--cp", "4", "--workers", "0"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: worker count")
+
+    # argparse alone reads a value that starts with "-" and is no plain number as a flag
+    @pytest.mark.parametrize("ebn0,grid", [("-6,0", "-6.0,0.0"), ("-6:2:-4", "-6.0,-4.0")])
+    def test_negative_ebn0_after_a_space(self, tmp_path, ebn0, grid):
+        def run(*flag):
+            out = tmp_path / "run.csv"
+            assert main(["--scheme", "scck2", "--nrx", "2", *flag, "--frames", "1",
+                         "--symbols-per-frame", "1", "--nsub", "32", "--cp", "4",
+                         "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        assert run("--ebn0", ebn0) == run("--ebn0=" + ebn0)
+        assert f"ebn0={grid} " in read_csv(tmp_path / "run.csv")[0]
 
     def test_infinite_ebn0_range_exits_1(self, capsys):
         rc = main(["--scheme", "scck2", "--nrx", "2", "--ebn0", "0:2:inf"])
