@@ -19,9 +19,13 @@ seed 1 and one Eb/N0, each for its fixed frame count (about 1 s untraced):
 The JSON holds the median of each over the reps, with the quartiles of ms
 per symbol beside its median, the error counts of each side (every run of a
 side must give the same counts), the machine (cores, numpy, BLAS and its
-thread variables) and the line count of each side's ``src/scckm``.  The
-script writes the JSON and prints one row per config, then exits 1 if any
-config's error counts differ between the two sides.
+thread variables) and the line count of each side's ``src/scckm``.  Each rep
+runs its before and after interpreters one after the other, so each config
+also gets the median and quartiles of the per-rep ratio before ms/symbol over
+after ms/symbol (``pair_ratio``): a slow or fast spell of the host that spans
+both runs of a rep cancels in it.  The script writes the JSON and prints one
+row per config, then exits 1 if any config's error counts differ between the
+two sides.
 """
 
 from __future__ import annotations
@@ -135,6 +139,12 @@ def run_child(src: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def quartiles(values: list) -> list:
+    """[first quartile, third quartile] of values (inclusive method)."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
 def median_of(runs: list, config: str) -> dict:
     """Median of every timing over the runs of one side; counts from the first."""
     first = runs[0][config]
@@ -142,9 +152,7 @@ def median_of(runs: list, config: str) -> dict:
         raise RuntimeError(f"{config}: counts differ between runs of one side")
     summary = {key: statistics.median(r[config][key] for r in runs)
                for key in ("ms_per_symbol", "faults_per_symbol")}
-    quartiles = statistics.quantiles([r[config]["ms_per_symbol"] for r in runs], n=4,
-                                     method="inclusive")
-    summary["ms_per_symbol_quartiles"] = [quartiles[0], quartiles[2]]
+    summary["ms_per_symbol_quartiles"] = quartiles([r[config]["ms_per_symbol"] for r in runs])
     summary["stage_ms_per_symbol"] = {
         stage: statistics.median(r[config]["stage_ms_per_symbol"].get(stage, 0.0)
                                  for r in runs)
@@ -173,8 +181,13 @@ def compare(before_rev: str, reps: int) -> dict:
     configs = {}
     for name, *_ in CONFIGS:
         before, after = median_of(runs["before"], name), median_of(runs["after"], name)
+        # entry i of each side ran in rep i, next to the other side's
+        ratios = [b[name]["ms_per_symbol"] / a[name]["ms_per_symbol"]
+                  for b, a in zip(runs["before"], runs["after"])]
         configs[name] = {"before": before, "after": after,
                          "speedup": before["ms_per_symbol"] / after["ms_per_symbol"],
+                         "pair_ratio": statistics.median(ratios),
+                         "pair_ratio_quartiles": quartiles(ratios),
                          "counts_equal": before["counts"] == after["counts"]}
     return {
         "command": " ".join([Path(sys.executable).name, *sys.argv]),
@@ -184,16 +197,15 @@ def compare(before_rev: str, reps: int) -> dict:
                      "frames": {name: frames for name, *_, frames in CONFIGS},
                      "symbols_per_frame": SYMBOLS_PER_FRAME, "reps": reps,
                      "statistic": "median over reps, and quartiles (inclusive) of "
-                                  "ms_per_symbol"},
+                                  "ms_per_symbol and of the per-rep pair_ratio"},
         "machine": machine_facts(),
         "configs": configs,
     }
 
 
-def ms_cell(side: dict) -> str:
-    """A side's ms per symbol as "median [first quartile, third quartile]"."""
-    low, high = side["ms_per_symbol_quartiles"]
-    return f"{side['ms_per_symbol']:.3f} [{low:.3f}, {high:.3f}]"
+def cell(median: float, bounds: list, digits: int = 3) -> str:
+    """A median and its quartiles as "median [first quartile, third quartile]"."""
+    return f"{median:.{digits}f} [{bounds[0]:.{digits}f}, {bounds[1]:.{digits}f}]"
 
 
 def main(argv=None) -> int:
@@ -213,10 +225,13 @@ def main(argv=None) -> int:
     report = compare(args.before, args.reps)
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for name, row in report["configs"].items():
-        print(f"{name}: {ms_cell(row['before'])} -> {ms_cell(row['after'])} ms/symbol "
-              f"({row['speedup']:.2f}x), faults/symbol "
-              f"{row['before']['faults_per_symbol']:.0f} -> "
-              f"{row['after']['faults_per_symbol']:.0f}, counts equal: {row['counts_equal']}")
+        before, after = row["before"], row["after"]
+        print(f"{name}: {cell(before['ms_per_symbol'], before['ms_per_symbol_quartiles'])} -> "
+              f"{cell(after['ms_per_symbol'], after['ms_per_symbol_quartiles'])} ms/symbol "
+              f"({row['speedup']:.2f}x, pair ratio "
+              f"{cell(row['pair_ratio'], row['pair_ratio_quartiles'], 2)}), faults/symbol "
+              f"{before['faults_per_symbol']:.0f} -> "
+              f"{after['faults_per_symbol']:.0f}, counts equal: {row['counts_equal']}")
     return 0 if all(row["counts_equal"] for row in report["configs"].values()) else 1
 
 

@@ -40,6 +40,8 @@ class Codebook:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        # a copy, so freezing it leaves the caller's array writable
+        object.__setattr__(self, "entries", np.array(self.entries))
         rows = self.entries.shape[0] if self.entries.ndim == 2 else 0
         if rows < 2 or rows & (rows - 1):
             raise ValueError("codebook entries must be 2-D with a power-of-two "
@@ -56,6 +58,15 @@ class Codebook:
     @property
     def bits_per_codeword(self) -> int:
         return self.entries.shape[0].bit_length() - 1
+
+
+def require_count(name: str, value, low: int = 1, power_of_two: bool = False) -> int:
+    """value as an int: an integer (not a bool) >= low, a power of two if asked."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low
+            or power_of_two and value & (value - 1)):
+        raise ValueError(f"{name} must be an integer{' power of two' if power_of_two else ''}"
+                         f" >= {low}, got {value!r}")
+    return int(value)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -80,8 +91,7 @@ def golay_pair(k: int) -> tuple[np.ndarray, np.ndarray]:
     B_k = A_{k-1} (-B_{k-1}) from the kernel A_1 = B_1 = (+1,).  The sum of
     the pair's aperiodic autocorrelations is zero at every non-zero shift.
     """
-    if k < 1:
-        raise ValueError(f"recursion depth must be >= 1, got {k}")
+    k = require_count("recursion depth", k)
     a = np.array([1], dtype=np.int64)
     b = np.array([1], dtype=np.int64)
     for _ in range(k - 1):
@@ -149,10 +159,8 @@ def min_distance(codebook: Codebook) -> float:
 
 def dmin_closed_form(n: int, m: int) -> float:
     """sqrt(N/2) * |1 - e^{j*2pi/M}| for codeword length N, phase alphabet M."""
-    if not isinstance(n, (int, np.integer)) or n < 2 or n & (n - 1):
-        raise ValueError(f"codeword length must be a power of two >= 2, got {n}")
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ValueError(f"phase alphabet size must be an integer >= 2, got {m}")
+    require_count("codeword length", n, low=2, power_of_two=True)
+    require_count("phase alphabet size", m, low=2)
     return math.sqrt(n / 2.0) * abs(1.0 - complex(math.cos(2 * math.pi / m),
                                                   math.sin(2 * math.pi / m)))
 
@@ -171,11 +179,9 @@ def select_min_distance_subset(candidates: np.ndarray, subset_size: int,
     """
     candidates = np.asarray(candidates)
     n = len(candidates)
-    if not isinstance(subset_size, (int, np.integer)) or not 2 <= subset_size <= n:
+    if require_count("subset size", subset_size, low=2) > n:
         raise ValueError(f"subset size {subset_size} out of range for {n} candidates")
-    if not isinstance(num_random_subsets, (int, np.integer)) or num_random_subsets < 1:
-        raise ValueError(
-            f"number of random subsets must be an integer >= 1, got {num_random_subsets}")
+    require_count("number of random subsets", num_random_subsets)
 
     # squared distances, quantized so symbolically equal values compare equal
     d2 = np.round(_sq_distances(candidates), 9)
@@ -201,7 +207,7 @@ def select_cck4_subset(candidates: np.ndarray, num_random_subsets: int,
     """Randomized search for a 16-of-27 subset maximizing minimum distance."""
     candidates = np.asarray(candidates)
     idx = select_min_distance_subset(candidates, 16, num_random_subsets, rng)
-    return Codebook(candidates[list(idx)].copy())
+    return Codebook(candidates[list(idx)])
 
 
 def cck8_codeword(byte: str) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .cck import require_count
 from .ofdm import OfdmParams
 
 
@@ -25,9 +26,9 @@ def _taps_shape(taps: np.ndarray) -> tuple[int, int, int]:
 def generate_channel(n_tx: int, n_rx: int, p: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. CN(0, 1/p) taps for every antenna pair, shape (n_rx, n_tx, p)."""
-    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (n_tx, n_rx, p)):
-        raise ValueError(
-            f"antenna and tap counts must be integers >= 1, got {n_tx}, {n_rx}, {p}")
+    require_count("transmit antenna count", n_tx)
+    require_count("receive antenna count", n_rx)
+    require_count("tap count", p)
     scale = math.sqrt(0.5 / p)
     return scale * (rng.standard_normal((n_rx, n_tx, p))
                     + 1j * rng.standard_normal((n_rx, n_tx, p)))

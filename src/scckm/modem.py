@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cck import Codebook, pack_bits, unpack_bits
+from .cck import Codebook, pack_bits, require_count, unpack_bits
 
 BPSK = np.array([1.0, -1.0], dtype=np.complex128)
 # Gray labeling: first bit flips the real sign, second bit the imaginary sign
@@ -64,9 +64,7 @@ def scck_table(codebook: Codebook) -> np.ndarray:
 def sm_table(n_tx: int, constellation: str) -> np.ndarray:
     """Transmit table of SM: row a*M + l puts point l on antenna a, so the row
     index is the antenna bits followed by the label bits."""
-    n_tx = int(n_tx)
-    if n_tx < 2 or n_tx & (n_tx - 1):
-        raise ValueError(f"transmit antenna count must be a power of two >= 2, got {n_tx}")
+    n_tx = require_count("transmit antenna count", n_tx, low=2, power_of_two=True)
     if constellation not in CONSTELLATIONS:
         raise ValueError(f"unknown constellation {constellation!r}")
     points = CONSTELLATIONS[constellation]

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cck import require_count
+
 
 @dataclass(frozen=True)
 class OfdmParams:
@@ -20,13 +22,8 @@ class OfdmParams:
     cp_len: int = 16
 
     def __post_init__(self):
-        for name, value in (("subcarrier count", self.n_sub),
-                            ("cyclic prefix length", self.cp_len)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_sub < 1 or self.n_sub & (self.n_sub - 1):
-            raise ValueError(f"subcarrier count must be a power of two, got {self.n_sub}")
-        if not 0 <= self.cp_len < self.n_sub:
+        require_count("subcarrier count", self.n_sub, power_of_two=True)
+        if require_count("cyclic prefix length", self.cp_len, low=0) >= self.n_sub:
             raise ValueError(
                 f"cyclic prefix length must lie in [0, {self.n_sub}), got {self.cp_len}"
             )

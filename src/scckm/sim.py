@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cck import (Codebook, cck2_codebook, cck4_reference_codebook, cck8_codebook,
-                  open_text)
+                  open_text, require_count)
 from .channel import apply_channel, freq_response, generate_channel
 from .modem import (ml_detect_scck_grid, ml_detect_sm_equalized_grid, scck_map,
                     scck_table, sm_map, sm_table, zf_equalize_grid)
@@ -119,8 +119,7 @@ class SimConfig:
         if self.max_bit_errors is not None:
             counts["max bit errors"] = self.max_bit_errors
         for name, value in counts.items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            require_count(name, value)
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or not 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
@@ -209,8 +208,7 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     workers must be an integer >= 1 and has no other effect: frames run in
     order on the calling thread.
     """
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"worker count must be an integer >= 1, got {workers!r}")
+    require_count("worker count", workers)
     ebn0_db = _finite_or_inf(config, ebn0_db)
     n0 = noise_variance(config, ebn0_db)
     map_bits, detect = _scheme_ops(config)

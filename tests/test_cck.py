@@ -40,6 +40,9 @@ class TestGolayPairs:
     def test_bad_depth(self):
         with pytest.raises(ValueError):
             golay_pair(0)
+        for depth in (True, 2.5):
+            with pytest.raises(ValueError, match="^recursion depth must be an integer"):
+                golay_pair(depth)
 
 
 class TestCodebook:
@@ -52,6 +55,14 @@ class TestCodebook:
         cb = cck2_codebook()
         with pytest.raises(ValueError, match="read-only"):
             cb.entries[0, 0] = 0
+        # a list is taken too, and the caller's own array stays writable
+        chips = np.array([[1, 1], [1, -1]], dtype=complex)
+        for entries in (chips.tolist(), chips):
+            cb = Codebook(entries)
+            with pytest.raises(ValueError, match="read-only"):
+                cb.entries[0, 0] = 0
+        chips[0, 0] = 0
+        assert np.array_equal(cb.entries, [[1, 1], [1, -1]])
 
 
 class TestCck2:
@@ -199,6 +210,8 @@ class TestSubsetSearch:
     def test_rejects_non_integer_sample_count(self):
         with pytest.raises(ValueError, match="integer"):
             select_cck4_subset(cck4_enumerate(), 2.5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^number of random subsets must be an integer"):
+            select_cck4_subset(cck4_enumerate(), True, np.random.default_rng(0))
 
 
 def test_dmin_closed_form_rejects_non_integers():

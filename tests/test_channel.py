@@ -17,8 +17,11 @@ def test_shape_and_dtype():
 
 
 def test_rejects_non_integer_counts():
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="^tap count must be an integer"):
         generate_channel(2, 4, 2.5, np.random.default_rng(0))
+    # bool is a subclass of int
+    with pytest.raises(ValueError, match="^transmit antenna count must be an integer"):
+        generate_channel(True, 2, 1, np.random.default_rng(0))
 
 
 def test_tap_power_normalization():

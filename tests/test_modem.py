@@ -45,6 +45,8 @@ class TestMapping:
         # the mapper and the detector share one SM table, and so one check
         with pytest.raises(ValueError, match="power of two"):
             sm_map(np.array([[0], [0]]), 3, "bpsk")
+        with pytest.raises(ValueError, match="^transmit antenna count must be an integer"):
+            sm_map(np.array([[0], [0]]), 2.7, "bpsk")
         with pytest.raises(ValueError, match="power of two"):
             ml_detect_sm_equalized_grid(np.zeros((2, 3), dtype=complex), 3, "bpsk")
 

@@ -224,6 +224,7 @@ class TestRunPoint:
         (float("nan"), 1, "ebn0 values must be finite"),
         (4.0, 2.5, "worker count"),
         (4.0, "2", "worker count"),
+        (4.0, True, "worker count"),
         (4000.0, 1, "ebn0 4000.0 dB is out of range"),
         (-3300.0, 1, "ebn0 -3300.0 dB is out of range"),
         (-3234.0, 1, "ebn0 -3234.0 dB is out of range"),
