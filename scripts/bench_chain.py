@@ -19,13 +19,9 @@ seed 1 and one Eb/N0, each for its fixed frame count (about 1 s untraced):
 The JSON holds the median of each over the reps, with the quartiles of ms
 per symbol beside its median, the error counts of each side (every run of a
 side must give the same counts), the machine (cores, numpy, BLAS and its
-thread variables) and the line count of each side's ``src/scckm``.  Each rep
-runs its before and after interpreters one after the other, so each config
-also gets the median and quartiles of the per-rep ratio before ms/symbol over
-after ms/symbol (``pair_ratio``): a slow or fast spell of the host that spans
-both runs of a rep cancels in it.  The script writes the JSON and prints one
-row per config, then exits 1 if any config's error counts differ between the
-two sides.
+thread variables) and the line count of each side's ``src/scckm``.  The
+script writes the JSON and prints one row per config, then exits 1 if any
+config's error counts differ between the two sides.
 """
 
 from __future__ import annotations
@@ -181,13 +177,8 @@ def compare(before_rev: str, reps: int) -> dict:
     configs = {}
     for name, *_ in CONFIGS:
         before, after = median_of(runs["before"], name), median_of(runs["after"], name)
-        # entry i of each side ran in rep i, next to the other side's
-        ratios = [b[name]["ms_per_symbol"] / a[name]["ms_per_symbol"]
-                  for b, a in zip(runs["before"], runs["after"])]
         configs[name] = {"before": before, "after": after,
                          "speedup": before["ms_per_symbol"] / after["ms_per_symbol"],
-                         "pair_ratio": statistics.median(ratios),
-                         "pair_ratio_quartiles": quartiles(ratios),
                          "counts_equal": before["counts"] == after["counts"]}
     return {
         "command": " ".join([Path(sys.executable).name, *sys.argv]),
@@ -197,15 +188,15 @@ def compare(before_rev: str, reps: int) -> dict:
                      "frames": {name: frames for name, *_, frames in CONFIGS},
                      "symbols_per_frame": SYMBOLS_PER_FRAME, "reps": reps,
                      "statistic": "median over reps, and quartiles (inclusive) of "
-                                  "ms_per_symbol and of the per-rep pair_ratio"},
+                                  "ms_per_symbol"},
         "machine": machine_facts(),
         "configs": configs,
     }
 
 
-def cell(median: float, bounds: list, digits: int = 3) -> str:
+def cell(median: float, bounds: list) -> str:
     """A median and its quartiles as "median [first quartile, third quartile]"."""
-    return f"{median:.{digits}f} [{bounds[0]:.{digits}f}, {bounds[1]:.{digits}f}]"
+    return f"{median:.3f} [{bounds[0]:.3f}, {bounds[1]:.3f}]"
 
 
 def main(argv=None) -> int:
@@ -228,8 +219,7 @@ def main(argv=None) -> int:
         before, after = row["before"], row["after"]
         print(f"{name}: {cell(before['ms_per_symbol'], before['ms_per_symbol_quartiles'])} -> "
               f"{cell(after['ms_per_symbol'], after['ms_per_symbol_quartiles'])} ms/symbol "
-              f"({row['speedup']:.2f}x, pair ratio "
-              f"{cell(row['pair_ratio'], row['pair_ratio_quartiles'], 2)}), faults/symbol "
+              f"({row['speedup']:.2f}x), faults/symbol "
               f"{before['faults_per_symbol']:.0f} -> "
               f"{after['faults_per_symbol']:.0f}, counts equal: {row['counts_equal']}")
     return 0 if all(row["counts_equal"] for row in report["configs"].values()) else 1

@@ -26,11 +26,12 @@ SETTINGS = {
     "frames": (int, 1000, "frames per point"),
     "seed": (int, 1, "master seed"),
     "out": (str, None, "output CSV path (default stdout)"),
-    "taps": (int, 2, "channel tap count"),
-    "nsub": (int, 256, "subcarriers"),
-    "cp": (int, 16, "cyclic prefix length"),
-    "symbols_per_frame": (int, 20, "OFDM symbols per frame"),
-    "max_bit_errors": (int, None, "early-stop threshold per point (default off)"),
+    "taps": (int, SimConfig.taps, "channel tap count"),
+    "nsub": (int, OfdmParams.n_sub, "subcarriers"),
+    "cp": (int, OfdmParams.cp_len, "cyclic prefix length"),
+    "symbols_per_frame": (int, SimConfig.symbols_per_frame, "OFDM symbols per frame"),
+    "max_bit_errors": (int, SimConfig.max_bit_errors,
+                       "early-stop threshold per point (default off)"),
     "workers": (int, 1, "an integer >= 1, no other effect: frames run on one thread"),
 }
 DEFAULTS = {name: default for name, (_, default, _) in SETTINGS.items()}

@@ -6,9 +6,9 @@ SCCKM's table is its codebook scaled by 1/sqrt(N_t), one chip per transmit
 antenna.  SM's table holds each constellation point on each single antenna:
 the leading log2(N_t) bits pick the antenna (natural binary), the rest pick a
 unit-energy point (Gray labeled).  Zero forcing solves the normal equations
-of every subcarrier in one batch through their Cholesky factors and falls
-back to the pseudo-inverse where the Gram matrix is ill-conditioned, or for
-the whole symbol when the batched factorization fails.
+of every subcarrier in one batch through their Cholesky factors; when the
+batched factorization fails or any subcarrier's Gram matrix is
+ill-conditioned, the whole symbol goes through the pseudo-inverse instead.
 Detection is one exhaustive minimum squared Euclidean distance search over
 the table rows, the same blocked GEMM for both schemes, with ties resolved to
 the lowest row: the lowest codeword index, or the lowest antenna and then the
@@ -108,11 +108,11 @@ def zf_equalize_grid(received: np.ndarray, hk: np.ndarray) -> np.ndarray:
     """Batched ZF: received (n_sub, n_rx), hk (n_sub, n_rx, n_tx) -> (n_sub, n_tx).
 
     Solves the normal equations (H^H H) x = H^H y on every subcarrier in one
-    batch through their Cholesky factors.  A subcarrier whose smallest pivot
-    |L_ii|^2 is below ZF_RCOND times its largest, or the whole symbol when the
-    batched factorization fails, goes through the pseudo-inverse of
-    zf_equalize instead, so a rank-deficient channel still gets the truncated
-    least-squares answer.
+    batch through their Cholesky factors.  When numpy rejects the batched
+    factorization, or any subcarrier's smallest pivot |L_ii|^2 is below
+    ZF_RCOND times its largest, the whole symbol goes through the
+    pseudo-inverse of zf_equalize instead, so a rank-deficient channel still
+    gets the truncated least-squares answer.
     """
     received = np.asarray(received)
     if hk.shape[1] < hk.shape[2]:
@@ -121,11 +121,12 @@ def zf_equalize_grid(received: np.ndarray, hk: np.ndarray) -> np.ndarray:
     try:
         factor = np.linalg.cholesky(hk_h @ hk)
     except np.linalg.LinAlgError:
+        flagged = True
+    else:
+        pivots = np.diagonal(factor, axis1=1, axis2=2).real ** 2
+        flagged = (pivots.min(axis=1) < ZF_RCOND * pivots.max(axis=1)).any()
+    if flagged:
         return zf_equalize(received, hk)
-    pivots = np.diagonal(factor, axis1=1, axis2=2).real ** 2
-    bad = pivots.min(axis=1) < ZF_RCOND * pivots.max(axis=1)
-    # the identity on a flagged subcarrier keeps its substitutions finite
-    factor[bad] = np.eye(hk.shape[2])
     # L L^H x = H^H y: forward then back substitution, one column at a time
     # across the whole stack
     equalized = (hk_h @ received[:, :, None])[:, :, 0]
@@ -135,8 +136,6 @@ def zf_equalize_grid(received: np.ndarray, hk: np.ndarray) -> np.ndarray:
     for i in reversed(range(hk.shape[2])):
         equalized[:, i] /= factor[:, i, i]
         equalized[:, :i] -= factor[:, i, :i].conj() * equalized[:, i, None]
-    if bad.any():
-        equalized[bad] = zf_equalize(received[bad], hk[bad])
     return equalized
 
 

@@ -80,22 +80,6 @@ SCHEMES = {
 }
 
 
-def _finite_or_inf(config: SimConfig, ebn0_db) -> float:
-    """ebn0_db as a float: +inf (noiseless), or a finite value whose noise
-    variance is a finite positive float.  NaN and -inf have none."""
-    value = float(ebn0_db)
-    if math.isnan(value) or value == -math.inf:
-        raise ValueError(f"ebn0 values must be finite or +inf, got {value}")
-    try:
-        n0 = noise_variance(config, value)
-    except (OverflowError, ZeroDivisionError):  # 10 ** (value / 10) overflowed or hit 0
-        n0 = math.nan
-    if value < math.inf and not 0.0 < n0 < math.inf:
-        raise ValueError(f"ebn0 {value} dB is out of range: its noise variance "
-                         f"is not a finite positive float")
-    return value
-
-
 @dataclass(frozen=True)
 class SimConfig:
     scheme: str
@@ -137,7 +121,9 @@ class SimConfig:
             raise ValueError(f"ebn0 must be a sequence of numbers, got {self.ebn0_db!r}")
         if not len(self.ebn0_db):
             raise ValueError("ebn0 list must be non-empty")
-        ebn0_db = tuple(_finite_or_inf(self, e) for e in self.ebn0_db)
+        ebn0_db = tuple(map(float, self.ebn0_db))
+        for value in ebn0_db:
+            noise_variance(self, value)  # raises ValueError where there is none
         if self.taps > self.ofdm.cp_len + 1:
             raise ValueError(
                 f"{self.taps} taps exceed cyclic prefix length {self.ofdm.cp_len} + 1"
@@ -176,10 +162,22 @@ def canonical_config_string(config: SimConfig) -> str:
 
 
 def noise_variance(config: SimConfig, ebn0_db: float) -> float:
-    """N0 = E_s,total / (eta * 10^(EbN0/10)); E_s,total = 1 per subcarrier."""
-    if math.isinf(ebn0_db) and ebn0_db > 0:
+    """N0 = E_s,total / (eta * 10^(EbN0/10)); E_s,total = 1 per subcarrier.
+
+    +inf gives 0.0 (noiseless); NaN, -inf and a finite value whose N0 is not
+    a finite positive float (beyond about +-3000 dB) raise ValueError."""
+    if math.isnan(ebn0_db) or ebn0_db == -math.inf:
+        raise ValueError(f"ebn0 values must be finite or +inf, got {ebn0_db}")
+    if ebn0_db == math.inf:
         return 0.0
-    return 1.0 / (config.bits_per_subcarrier * 10.0 ** (ebn0_db / 10.0))
+    try:
+        n0 = 1.0 / (config.bits_per_subcarrier * 10.0 ** (ebn0_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10 ** (ebn0_db / 10) overflowed or hit 0
+        n0 = math.nan
+    if not 0.0 < n0 < math.inf:
+        raise ValueError(f"ebn0 {ebn0_db} dB is out of range: its noise variance "
+                         f"is not a finite positive float")
+    return n0
 
 
 def _symbol_rng(seed: int, frame: int, symbol: int) -> np.random.Generator:
@@ -209,7 +207,7 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     order on the calling thread.
     """
     require_count("worker count", workers)
-    ebn0_db = _finite_or_inf(config, ebn0_db)
+    ebn0_db = float(ebn0_db)
     n0 = noise_variance(config, ebn0_db)
     map_bits, detect = _scheme_ops(config)
     params = config.ofdm

@@ -83,8 +83,8 @@ class TestZeroForcing:
 
     def test_grid_falls_back_on_rank_deficient_subcarrier(self):
         # a plain normal-equations solve returns a wrong finite answer on
-        # subcarrier 5 without raising; the Cholesky test sends it to the
-        # pseudo-inverse instead
+        # subcarrier 5 without raising; its Cholesky pivot flags it, and the
+        # whole symbol goes to the pseudo-inverse instead
         rng = np.random.default_rng(5)
         hk = rng.normal(size=(8, 16, 8)) + 1j * rng.normal(size=(8, 16, 8))
         hk[5, :, 3] = 0.3 * hk[5, :, 1]
@@ -93,8 +93,10 @@ class TestZeroForcing:
         assert np.all(np.isfinite(batched))
         for k in range(8):
             assert np.max(np.abs(batched[k] - zf_equalize(r[k], hk[k]))) < 1e-10
+        # the flagged symbol takes the batched pseudo-inverse, bit for bit
+        assert np.array_equal(batched, zf_equalize(r, hk))
 
-    # a flagged subcarrier gets an identity factor, so no division by zero warns
+    # a rejected or flagged stack skips the substitutions, so no division by zero warns
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n_tx,n_rx", [(2, 2), (4, 8), (8, 16)])
     def test_grid_matches_pinv_oracle(self, n_tx, n_rx):

@@ -131,6 +131,18 @@ class TestNoiseVariance:
     def test_infinite_snr_is_noiseless(self):
         assert noise_variance(small_config(), float("inf")) == 0.0
 
+    # none of these has a finite positive noise variance
+    @pytest.mark.parametrize("ebn0_db,message", [
+        (float("nan"), "^ebn0 values must be finite or \\+inf, got nan$"),
+        (float("-inf"), "^ebn0 values must be finite or \\+inf, got -inf$"),
+        (4000.0, "^ebn0 4000.0 dB is out of range: its noise variance is not"),
+        (-3300.0, "^ebn0 -3300.0 dB is out of range: its noise variance is not"),
+        (-3234.0, "^ebn0 -3234.0 dB is out of range: its noise variance is not"),
+    ], ids=["nan", "-inf", "4000", "-3300", "-3234"])
+    def test_rejects_ebn0_without_noise_variance(self, ebn0_db, message):
+        with pytest.raises(ValueError, match=message):
+            noise_variance(small_config(), ebn0_db)
+
 
 class TestRunPoint:
     def test_bit_accounting(self):
