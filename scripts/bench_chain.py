@@ -14,7 +14,8 @@ seed 1 and one Eb/N0, each for its fixed frame count (about 1 s untraced):
 
 * untraced: ms per OFDM symbol and minor page faults per symbol;
 * with the stage calls ``scckm.sim`` makes timed by
-  ``perfbench/tracing.py``: ms per symbol by stage.
+  ``perfbench/tracing.py``: ms per symbol by stage, plus ``channel.gram``
+  for ``gram_response`` on a side that calls it.
 
 The JSON holds the median of each over the reps, with the quartiles of ms
 per symbol beside its median, the error counts of each side (every run of a
@@ -84,6 +85,9 @@ def measure(src: Path) -> dict:
     from scckm.sim import SimConfig, run_point
     if not Path(scckm.__file__).is_relative_to(src):
         raise RuntimeError(f"imported scckm from {scckm.__file__}, not from {src}")
+    # the tracer skips a name scckm.sim does not have, so the Gram is a stage
+    # only on a side that computes it, and is part of sim.self before that
+    tracing.PROGRAM_STAGES.setdefault("gram_response", "channel.gram")
 
     results = {}
     for name, scheme, n_tx, n_rx, frames in CONFIGS:

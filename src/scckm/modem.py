@@ -17,6 +17,7 @@ lowest point label.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -63,15 +64,23 @@ def scck_table(codebook: Codebook) -> np.ndarray:
 
 def sm_table(n_tx: int, constellation: str) -> np.ndarray:
     """Transmit table of SM: row a*M + l puts point l on antenna a, so the row
-    index is the antenna bits followed by the label bits."""
-    n_tx = require_count("transmit antenna count", n_tx, low=2, power_of_two=True)
+    index is the antenna bits followed by the label bits.  Read-only, and
+    built once per checked antenna count and constellation."""
+    return _sm_table(require_count("transmit antenna count", n_tx, low=2, power_of_two=True),
+                     constellation)
+
+
+@functools.lru_cache(maxsize=None)
+def _sm_table(n_tx: int, constellation: str) -> np.ndarray:
     if constellation not in CONSTELLATIONS:
         raise ValueError(f"unknown constellation {constellation!r}")
     points = CONSTELLATIONS[constellation]
     table = np.zeros((n_tx, len(points), n_tx), dtype=np.complex128)
     antennas = np.arange(n_tx)
     table[antennas, :, antennas] = points
-    return table.reshape(-1, n_tx)
+    table = table.reshape(-1, n_tx)
+    table.flags.writeable = False
+    return table
 
 
 def _map(bits: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -104,39 +113,47 @@ def zf_equalize(received: np.ndarray, h_k: np.ndarray) -> np.ndarray:
     return (np.linalg.pinv(h_k, rcond=ZF_RCOND) @ np.asarray(received)[..., None])[..., 0]
 
 
-def zf_equalize_grid(received: np.ndarray, hk: np.ndarray) -> np.ndarray:
+def zf_equalize_grid(received: np.ndarray, hk: np.ndarray,
+                     gram: np.ndarray | None = None) -> np.ndarray:
     """Batched ZF: received (n_sub, n_rx), hk (n_sub, n_rx, n_tx) -> (n_sub, n_tx).
 
     Solves the normal equations (H^H H) x = H^H y on every subcarrier in one
-    batch through their Cholesky factors.  When numpy rejects the batched
-    factorization, or any subcarrier's smallest pivot |L_ii|^2 is below
-    ZF_RCOND times its largest, the whole symbol goes through the
-    pseudo-inverse of zf_equalize instead, so a rank-deficient channel still
-    gets the truncated least-squares answer.
+    batch through their Cholesky factors.  gram, the (n_sub, n_tx, n_tx)
+    stack of H^H H, is factored when given (channel.gram_response builds it
+    from the taps without a product per subcarrier); otherwise it is formed
+    from hk.  When numpy rejects the batched factorization, or any
+    subcarrier's smallest pivot |L_ii|^2 is below ZF_RCOND times its largest,
+    the whole symbol goes through the pseudo-inverse of zf_equalize instead,
+    so a rank-deficient channel still gets the truncated least-squares answer.
     """
     received = np.asarray(received)
-    if hk.shape[1] < hk.shape[2]:
+    n_sub, n_rx, n_tx = hk.shape
+    if n_rx < n_tx:
         raise ValueError(f"need n_rx >= n_tx, got channel shape {hk.shape[1:]}")
-    hk_h = np.conj(np.swapaxes(hk, 1, 2))
+    if gram is not None and gram.shape != (n_sub, n_tx, n_tx):
+        raise ValueError(f"gram shape {gram.shape} does not match channel shape {hk.shape}")
     try:
-        factor = np.linalg.cholesky(hk_h @ hk)
+        factor = np.linalg.cholesky(np.conj(np.swapaxes(hk, 1, 2)) @ hk if gram is None
+                                    else gram)
     except np.linalg.LinAlgError:
-        flagged = True
-    else:
-        pivots = np.diagonal(factor, axis1=1, axis2=2).real ** 2
-        flagged = (pivots.min(axis=1) < ZF_RCOND * pivots.max(axis=1)).any()
-    if flagged:
         return zf_equalize(received, hk)
-    # L L^H x = H^H y: forward then back substitution, one column at a time
-    # across the whole stack
-    equalized = (hk_h @ received[:, :, None])[:, :, 0]
-    for i in range(hk.shape[2]):
-        equalized[:, i] /= factor[:, i, i]
-        equalized[:, i + 1:] -= factor[:, i + 1:, i] * equalized[:, i, None]
-    for i in reversed(range(hk.shape[2])):
-        equalized[:, i] /= factor[:, i, i]
-        equalized[:, :i] -= factor[:, i, :i].conj() * equalized[:, i, None]
-    return equalized
+    # L L^H x = H^H y: forward then back substitution, one row of the factor
+    # at a time, on (n_tx, n_tx, n_sub) and (n_tx, n_sub) copies so that each
+    # step runs over contiguous subcarriers
+    factor = np.ascontiguousarray(np.moveaxis(factor, 0, 2))
+    diagonal = np.diagonal(factor).T  # (n_tx, n_sub), each row contiguous
+    pivots = diagonal.real ** 2
+    if (pivots.min(axis=0) < ZF_RCOND * pivots.max(axis=0)).any():
+        return zf_equalize(received, hk)
+    # H^H y as conj(y^H H): the same products, without a conjugate copy of hk
+    equalized = np.conj((np.conj(received)[:, None, :] @ hk)[:, 0].T, order="C")
+    for i in range(n_tx):
+        equalized[i] /= diagonal[i]
+        equalized[i + 1:] -= factor[i + 1:, i] * equalized[i]
+    for i in reversed(range(n_tx)):
+        equalized[i] /= diagonal[i]
+        equalized[:i] -= factor[i, :i].conj() * equalized[i]
+    return equalized.T
 
 
 def _closest_rows(equalized: np.ndarray, table: np.ndarray) -> np.ndarray:

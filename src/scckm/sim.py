@@ -20,7 +20,7 @@ import numpy as np
 
 from .cck import (Codebook, cck2_codebook, cck4_reference_codebook, cck8_codebook,
                   open_text, require_count)
-from .channel import apply_channel, freq_response, generate_channel
+from .channel import apply_channel, freq_response, generate_channel, gram_response
 from .modem import (ml_detect_scck_grid, ml_detect_sm_equalized_grid, scck_map,
                     scck_table, sm_map, sm_table, zf_equalize_grid)
 from .ofdm import OfdmParams, ofdm_demodulate, ofdm_modulate
@@ -121,9 +121,9 @@ class SimConfig:
             raise ValueError(f"ebn0 must be a sequence of numbers, got {self.ebn0_db!r}")
         if not len(self.ebn0_db):
             raise ValueError("ebn0 list must be non-empty")
-        ebn0_db = tuple(map(float, self.ebn0_db))
-        for value in ebn0_db:
+        for value in self.ebn0_db:
             noise_variance(self, value)  # raises ValueError where there is none
+        ebn0_db = tuple(map(float, self.ebn0_db))
         if self.taps > self.ofdm.cp_len + 1:
             raise ValueError(
                 f"{self.taps} taps exceed cyclic prefix length {self.ofdm.cp_len} + 1"
@@ -164,9 +164,14 @@ def canonical_config_string(config: SimConfig) -> str:
 def noise_variance(config: SimConfig, ebn0_db: float) -> float:
     """N0 = E_s,total / (eta * 10^(EbN0/10)); E_s,total = 1 per subcarrier.
 
-    +inf gives 0.0 (noiseless); NaN, -inf and a finite value whose N0 is not
-    a finite positive float (beyond about +-3000 dB) raise ValueError."""
-    if math.isnan(ebn0_db) or ebn0_db == -math.inf:
+    ebn0_db must be an int, a float or a numpy real, not a bool.  +inf gives
+    0.0 (noiseless); NaN, -inf and a finite value whose N0 is not a finite
+    positive float (beyond about +-3000 dB) raise ValueError."""
+    if isinstance(ebn0_db, bool) or not isinstance(ebn0_db, (int, float, np.integer,
+                                                              np.floating)):
+        raise ValueError(f"ebn0 values must be real numbers, got {ebn0_db!r}")
+    # ebn0_db != ebn0_db is NaN; math.isnan would overflow on an int past float range
+    if ebn0_db != ebn0_db or ebn0_db == -math.inf:
         raise ValueError(f"ebn0 values must be finite or +inf, got {ebn0_db}")
     if ebn0_db == math.inf:
         return 0.0
@@ -207,8 +212,8 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     order on the calling thread.
     """
     require_count("worker count", workers)
-    ebn0_db = float(ebn0_db)
     n0 = noise_variance(config, ebn0_db)
+    ebn0_db = float(ebn0_db)
     map_bits, detect = _scheme_ops(config)
     params = config.ofdm
     m = config.bits_per_subcarrier
@@ -224,7 +229,8 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
             rx = apply_channel(tx, channel, n0, rng)
             received = ofdm_demodulate(rx[:, : params.n_sub + params.cp_len], params).T
             hk = freq_response(channel, params)
-            decoded = detect(zf_equalize_grid(received, hk))
+            gram = gram_response(channel, params)
+            decoded = detect(zf_equalize_grid(received, hk, gram))
             errors += int(np.count_nonzero(decoded != bits))
         frames_run += 1
         if limit is not None and errors >= limit:

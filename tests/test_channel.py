@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from scckm.channel import apply_channel, freq_response, generate_channel
+from scckm.channel import apply_channel, freq_response, generate_channel, gram_response
 from scckm.ofdm import OfdmParams, ofdm_demodulate, ofdm_modulate
 
 
@@ -84,6 +84,20 @@ def test_noise_variance_calibration():
     assert abs(measured - n0) / n0 < 0.05
 
 
+def test_noise_is_the_convolution_plus_scaled_draws():
+    # the real part takes the first draw and the imaginary part the second
+    rng = np.random.default_rng(10)
+    taps = generate_channel(2, 3, 2, rng)
+    tx = rng.normal(size=(2, 20)) + 1j * rng.normal(size=(2, 20))
+    n0 = 0.7
+    out = apply_channel(tx, taps, n0, np.random.default_rng(11))
+    draws = np.random.default_rng(11)
+    a = draws.standard_normal(out.shape)
+    b = draws.standard_normal(out.shape)
+    expected = apply_channel(tx, taps, 0.0) + math.sqrt(n0 / 2) * (a + 1j * b)
+    assert np.array_equal(out, expected)
+
+
 def test_noise_requires_rng():
     taps = np.ones((1, 1, 1), dtype=complex)
     with pytest.raises(ValueError):
@@ -131,6 +145,30 @@ def test_freq_response_rejects_long_channels():
     taps = generate_channel(2, 2, 6, rng)
     with pytest.raises(ValueError):
         freq_response(taps, OfdmParams(n_sub=64, cp_len=4))
+
+
+@pytest.mark.parametrize("n_tx,n_rx,p,cp_len", [(2, 4, 1, 4), (4, 8, 3, 4), (8, 16, 2, 16),
+                                                (2, 2, 17, 16)])
+def test_gram_response_is_the_gram_of_freq_response(n_tx, n_rx, p, cp_len):
+    rng = np.random.default_rng(n_tx * 100 + p)
+    params = OfdmParams(n_sub=64, cp_len=cp_len)
+    taps = generate_channel(n_tx, n_rx, p, rng)
+    hk = freq_response(taps, params)
+    expected = np.conj(np.swapaxes(hk, 1, 2)) @ hk
+    gram = gram_response(taps, params)
+    assert gram.shape == (64, n_tx, n_tx)
+    assert np.max(np.abs(gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_gram_response_rejects_long_channels():
+    taps = generate_channel(2, 2, 6, np.random.default_rng(8))
+    params = OfdmParams(n_sub=64, cp_len=4)
+    message = "^6 taps exceed cyclic prefix length 4 \\+ 1$"
+    for response in (freq_response, gram_response):
+        with pytest.raises(ValueError, match=message):
+            response(taps, params)
+    with pytest.raises(ValueError, match="3-d"):
+        gram_response(taps[0], params)
 
 
 def test_per_subcarrier_multiplicative_model():

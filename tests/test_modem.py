@@ -5,9 +5,11 @@ import pytest
 
 from scckm.cck import (cck2_codebook, cck4_reference_codebook, cck8_codebook, pack_bits,
                        unpack_bits)
+from scckm.channel import freq_response, generate_channel, gram_response
 from scckm.modem import (BPSK, QAM4, _closest_rows, ml_detect_scck_grid,
-                         ml_detect_sm_equalized_grid, scck_map, sm_map, zf_equalize,
+                         ml_detect_sm_equalized_grid, scck_map, sm_map, sm_table, zf_equalize,
                          zf_equalize_grid)
+from scckm.ofdm import OfdmParams
 
 
 class TestMapping:
@@ -53,6 +55,17 @@ class TestMapping:
     def test_constellation_energy(self):
         assert np.allclose(np.abs(BPSK), 1.0)
         assert np.allclose(np.abs(QAM4), 1.0)
+
+    def test_sm_table_cache_keeps_the_count_check(self):
+        table = sm_table(2, "bpsk")
+        # the count is checked before the cache: 2.0 == 2 and True == 1 hash
+        # alike, and a list or an array does not hash at all
+        for bad in (2.0, True, [2], np.array(2)):
+            with pytest.raises(ValueError, match="^transmit antenna count must be an integer"):
+                sm_table(bad, "bpsk")
+        assert sm_table(2, "bpsk") is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 5
 
 
 class TestZeroForcing:
@@ -116,6 +129,55 @@ class TestZeroForcing:
                 assert np.max(np.abs(batched[k] - expected)) <= 1e-9 * np.max(np.abs(expected))
         # the rejected stack takes the batched pseudo-inverse, bit for bit
         assert np.array_equal(zf_equalize_grid(r, singular), zf_equalize(r, singular))
+
+    @pytest.mark.parametrize("n_tx,n_rx", [(4, 8), (8, 16)])
+    def test_grid_with_gram_from_taps_matches_two_argument_call(self, n_tx, n_rx):
+        rng = np.random.default_rng(n_tx)
+        params = OfdmParams()
+        taps = generate_channel(n_tx, n_rx, 2, rng)
+        hk = freq_response(taps, params)
+        r = rng.normal(size=(256, n_rx)) + 1j * rng.normal(size=(256, n_rx))
+        expected = zf_equalize_grid(r, hk)
+        assert np.max(np.abs(zf_equalize_grid(r, hk, gram_response(taps, params))
+                             - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+    def test_grid_factors_the_given_gram(self):
+        # (2 H^H H) x = H^H y halves the answer, so the gram is not recomputed from hk
+        rng = np.random.default_rng(6)
+        hk = rng.normal(size=(8, 4, 2)) + 1j * rng.normal(size=(8, 4, 2))
+        r = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+        gram = np.conj(np.swapaxes(hk, 1, 2)) @ hk
+        np.testing.assert_allclose(zf_equalize_grid(r, hk, 2 * gram),
+                                   zf_equalize_grid(r, hk) / 2, rtol=1e-12)
+        with pytest.raises(ValueError, match="gram shape"):
+            zf_equalize_grid(r, hk, gram[:, :1, :1])
+
+    def test_pivot_ratio_is_taken_per_subcarrier(self):
+        # subcarrier 0 is 1e6 times stronger than the rest and each subcarrier
+        # is well conditioned: the ratio across subcarriers (1e-12) is no
+        # reason to leave the Cholesky path, whose answer is not the
+        # pseudo-inverse's bit for bit
+        rng = np.random.default_rng(8)
+        hk = rng.normal(size=(8, 16, 8)) + 1j * rng.normal(size=(8, 16, 8))
+        hk[0] *= 1e6
+        r = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
+        batched = zf_equalize_grid(r, hk)
+        pinv = zf_equalize(r, hk)
+        assert np.max(np.abs(batched - pinv)) <= 1e-9 * np.max(np.abs(pinv))
+        assert not np.array_equal(batched, pinv)
+
+    # an equal pair of transmit columns is singular on every subcarrier: the
+    # factorization is rejected or flagged before any substitution divides
+    @pytest.mark.filterwarnings("error")
+    def test_grid_with_gram_of_equal_columns_takes_the_pseudo_inverse(self):
+        rng = np.random.default_rng(7)
+        params = OfdmParams()
+        taps = generate_channel(8, 16, 2, rng)
+        taps[:, 1] = taps[:, 0]
+        hk = freq_response(taps, params)
+        r = rng.normal(size=(256, 16)) + 1j * rng.normal(size=(256, 16))
+        assert np.array_equal(zf_equalize_grid(r, hk, gram_response(taps, params)),
+                              zf_equalize(r, hk))
 
     def test_degenerate_channel_still_returns(self):
         # rank-deficient matrices go through the truncated pseudo-inverse

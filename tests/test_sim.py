@@ -93,6 +93,15 @@ class TestSimConfig:
     def test_ebn0_coerced_to_floats(self):
         cfg = small_config(ebn0_db=(0, 4))
         assert cfg.ebn0_db == (0.0, 4.0)
+        cfg = small_config(ebn0_db=(np.float32(0.5), np.int64(4)))
+        assert cfg.ebn0_db == (0.5, 4.0)
+
+    # True would run 1 dB, "1" 1 dB, and 1j raised a bare TypeError
+    @pytest.mark.parametrize("ebn0_db", [(True, 2), (np.True_,), ("1", "2"), (1j,), (1 + 0j,)],
+                             ids=["bool", "numpy-bool", "strings", "complex", "complex-real"])
+    def test_rejects_ebn0_entries_that_are_not_real_numbers(self, ebn0_db):
+        with pytest.raises(ValueError, match="^ebn0 values must be real numbers, got "):
+            small_config(ebn0_db=ebn0_db)
 
 
 # every scheme at each antenna count it takes
@@ -138,10 +147,22 @@ class TestNoiseVariance:
         (4000.0, "^ebn0 4000.0 dB is out of range: its noise variance is not"),
         (-3300.0, "^ebn0 -3300.0 dB is out of range: its noise variance is not"),
         (-3234.0, "^ebn0 -3234.0 dB is out of range: its noise variance is not"),
-    ], ids=["nan", "-inf", "4000", "-3300", "-3234"])
+        (10 ** 400, "^ebn0 1000+ dB is out of range: its noise variance is not"),
+        (np.float32("nan"), "^ebn0 values must be finite or \\+inf, got nan$"),
+    ], ids=["nan", "-inf", "4000", "-3300", "-3234", "int-past-float", "float32-nan"])
     def test_rejects_ebn0_without_noise_variance(self, ebn0_db, message):
         with pytest.raises(ValueError, match=message):
             noise_variance(small_config(), ebn0_db)
+
+    @pytest.mark.parametrize("ebn0_db", [True, False, "1", 1j, None])
+    def test_rejects_values_that_are_not_real_numbers(self, ebn0_db):
+        with pytest.raises(ValueError, match="^ebn0 values must be real numbers, got "):
+            noise_variance(small_config(), ebn0_db)
+
+    def test_numpy_reals_are_numbers(self):
+        cfg = small_config()
+        assert noise_variance(cfg, np.float32(10.0)) == noise_variance(cfg, 10.0)
+        assert noise_variance(cfg, np.int64(10)) == noise_variance(cfg, 10)
 
 
 class TestRunPoint:
@@ -240,6 +261,9 @@ class TestRunPoint:
         (4000.0, 1, "ebn0 4000.0 dB is out of range"),
         (-3300.0, 1, "ebn0 -3300.0 dB is out of range"),
         (-3234.0, 1, "ebn0 -3234.0 dB is out of range"),
+        (True, 1, "^ebn0 values must be real numbers, got True$"),
+        ("4", 1, "^ebn0 values must be real numbers, got '4'$"),
+        (4j, 1, "^ebn0 values must be real numbers, got 4j$"),
     ])
     def test_rejects_bad_arguments(self, ebn0_db, workers, message):
         with pytest.raises(ValueError, match=message):
