@@ -8,30 +8,35 @@ Run from the repository root:
 The ``--before`` revision's ``src/`` is extracted with ``git archive`` and
 this checkout's ``src/`` is copied, into sibling directories of one temporary
 directory with names of one length, so that neither side runs from this
-checkout.  Both sides run in alternating fresh interpreters, ``--reps`` each.
-One interpreter runs every config of the matrix below, each two ways, all at
-seed 1 and one Eb/N0, each for its fixed frame count (about 1 s untraced):
+checkout.  Both trees are then imported into this one interpreter, as the
+packages ``scckm_before`` and ``scckm_after``.  Every config of the matrix
+below runs at seed 1 and one Eb/N0, two ways:
 
-* untraced: ms per OFDM symbol and minor page faults per symbol;
-* with the stage calls ``scckm.sim`` makes timed by
-  ``perfbench/tracing.py``: ms per symbol by stage, plus ``channel.gram``
-  for ``gram_response`` on a side that calls it.
+* untraced: ``PAIRS`` pairs of ``PAIR_FRAMES``-frame ``run_point`` calls,
+  one per side, alternating which side goes first.  Each side gets the
+  median and quartiles of its ms per OFDM symbol and its minor page faults
+  per symbol; the pairs give the median and quartiles of the ratio
+  before/after, in which the host's slow and fast phases, which move both
+  calls of a pair alike, cancel;
+* traced, once per side at the config's fixed frame count, with the stage
+  calls ``scckm.sim`` makes timed by ``perfbench/tracing.py``: ms per symbol
+  by stage, plus ``channel.gram`` on a side whose ``run_point`` calls
+  ``gram_response``, and the error counts.
 
-The JSON holds the median of each over the reps, with the quartiles of ms
-per symbol beside its median, the error counts of each side (every run of a
-side must give the same counts), the machine (cores, numpy, BLAS and its
-thread variables) and the line count of each side's ``src/scckm``.  The
-script writes the JSON and prints one row per config, then exits 1 if any
-config's error counts differ between the two sides.
+Both sides share the process: the heap pad ``scckm.sim`` sets on import,
+the BLAS threads and the heap itself, so a change to such state does not
+show here; perfbench's end-to-end pairs measure it.  The JSON also holds the
+machine facts of ``perfbench/run.py`` and the line count of each side's
+``src/scckm``.  The script writes the JSON and prints one row per config,
+then exits 1 if any config's error counts differ between the two sides.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import json
-import os
-import platform
 import resource
 import shutil
 import statistics
@@ -40,16 +45,16 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+sys.path.insert(0, str(ROOT / "perfbench"))
+import tracing  # noqa: E402
+from run import machine_facts  # noqa: E402
 
-# (name, scheme, n_tx, n_rx, frames): the config matrix of ROADMAP aim 1.  Each
-# config runs a fixed frame count, never a timed one, so that both sides simulate
-# the same bits; the counts make each untraced sample about 1 s at the ms/symbol
-# of BENCH_10.json (2 vCPUs, OpenBLAS), where 80 symbols per config gave an
-# inter-quartile range of 20-30% of the median
+# (name, scheme, n_tx, n_rx, frames): the config matrix of ROADMAP aim 1.  The
+# traced run of each config simulates its fixed frame count, about 1 s
+# untraced at the ms/symbol of BENCH_10.json (2 vCPUs, OpenBLAS)
 CONFIGS = (
     ("scck2-2x4", "scck2", 2, 4, 62),
     ("scck4-4x8", "scck4", 4, 8, 46),
@@ -57,11 +62,29 @@ CONFIGS = (
     ("sm-bpsk-8x16", "sm-bpsk", 8, 16, 25),
     ("sm-4qam-4x8", "sm-4qam", 4, 8, 40),
 )
+SIDES = ("before", "after")
 SEED = 1
 # every config makes bit errors at 0 dB, so equal counts check the chain's
 # decisions; the work per symbol does not depend on Eb/N0
 EBN0_DB = 0.0
 SYMBOLS_PER_FRAME = 20
+# about 70 pairs put the standard error of the pair-ratio median near 1% in a
+# null test of two copies of one tree; 2-frame runs keep the two calls of a
+# pair within one phase of the host
+PAIRS = 70
+PAIR_FRAMES = 2
+
+
+def load_tree(name: str, src: Path):
+    """Import ``src/scckm`` as the package ``name``, which works because the
+    package imports its own modules only relatively."""
+    init = src / "scckm" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
 
 def _minor_faults() -> int:
@@ -69,74 +92,38 @@ def _minor_faults() -> int:
 
 
 def _timed(run_point, config):
-    """(seconds, minor faults, point) of one run_point call."""
+    """(seconds, minor faults) of one run_point call."""
     faults = _minor_faults()
     start = time.perf_counter()
-    point = run_point(config, EBN0_DB)
-    return time.perf_counter() - start, _minor_faults() - faults, point
+    run_point(config, EBN0_DB)
+    return time.perf_counter() - start, _minor_faults() - faults
 
 
-def measure(src: Path) -> dict:
-    """Every config two ways in this interpreter, with scckm from ``src``."""
-    sys.path.insert(0, str(src))
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import scckm
-    import tracing
-    from scckm.sim import SimConfig, run_point
-    if not Path(scckm.__file__).is_relative_to(src):
-        raise RuntimeError(f"imported scckm from {scckm.__file__}, not from {src}")
-    # the tracer skips a name scckm.sim does not have, so the Gram is a stage
-    # only on a side that computes it, and is part of sim.self before that
-    tracing.PROGRAM_STAGES.setdefault("gram_response", "channel.gram")
-
-    results = {}
-    for name, scheme, n_tx, n_rx, frames in CONFIGS:
-        config = SimConfig(scheme=scheme, n_tx=n_tx, n_rx=n_rx, ebn0_db=(EBN0_DB,),
-                           frames=frames, seed=SEED, symbols_per_frame=SYMBOLS_PER_FRAME)
-        symbols = frames * SYMBOLS_PER_FRAME
-        run_point(dataclasses.replace(config, frames=1, symbols_per_frame=1), EBN0_DB)
-        seconds, faults, point = _timed(run_point, config)
-        tracer = tracing.Tracer()
-        root = tracer.open("sim.run_point", -1, 0)
-        with tracing.traced_program(tracer, root, 0):
-            traced = run_point(config, EBN0_DB)
-        tracer.close(root)
-        stages = {stage: ns / 1e6 / symbols
-                  for stage, ns in tracer.child_totals_ns("sim.run_point").items()}
-        stages["sim.self"] = tracer.totals_ns()["sim.run_point"] / 1e6 / symbols \
-            - sum(stages.values())
-        results[name] = {
-            "ms_per_symbol": seconds * 1e3 / symbols,
-            "faults_per_symbol": faults / symbols,
-            "stage_ms_per_symbol": stages,
-            "counts": [point.bits_simulated, point.bit_errors],
-            "counts_agree": point == traced,
-        }
-    return results
-
-
-def line_count(src: Path) -> int:
-    return sum(len(p.read_text(encoding="utf-8").splitlines())
-               for p in (src / "scckm").glob("*.py"))
-
-
-def machine_facts() -> dict:
-    import numpy as np
+def _traced(package, config) -> tuple:
+    """(stage ms per symbol, [bits, errors]) of one traced run_point call."""
+    saved = sys.modules.get("scckm")
+    # traced_program finds the stage functions through ``import scckm``
+    sys.modules["scckm"] = package
     try:
-        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
-    except TypeError:  # numpy before 1.26 prints instead
-        deps = {}
-    blas = deps.get("blas", {})
-    return {"nproc": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
-            "blas_thread_env": {v: os.environ.get(v, "unset") for v in BLAS_THREAD_VARS}}
-
-
-def run_child(src: Path) -> dict:
-    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child", str(src)],
-                          capture_output=True, text=True, check=True, timeout=1800)
-    return json.loads(done.stdout)
+        # the Gram is a stage only on a side that computes it, and is part
+        # of sim.self before that
+        with mock.patch.dict(tracing.PROGRAM_STAGES, gram_response="channel.gram"):
+            tracer = tracing.Tracer()
+            root = tracer.open("sim.run_point", -1, 0)
+            with tracing.traced_program(tracer, root, 0):
+                point = package.sim.run_point(config, EBN0_DB)
+            tracer.close(root)
+    finally:
+        if saved is None:
+            del sys.modules["scckm"]
+        else:
+            sys.modules["scckm"] = saved
+    symbols = config.frames * config.symbols_per_frame
+    stages = {stage: ns / 1e6 / symbols
+              for stage, ns in tracer.child_totals_ns("sim.run_point").items()}
+    stages["sim.self"] = tracer.totals_ns()["sim.run_point"] / 1e6 / symbols \
+        - sum(stages.values())
+    return stages, [point.bits_simulated, point.bit_errors]
 
 
 def quartiles(values: list) -> list:
@@ -145,54 +132,63 @@ def quartiles(values: list) -> list:
     return [q1, q3]
 
 
-def median_of(runs: list, config: str) -> dict:
-    """Median of every timing over the runs of one side; counts from the first."""
-    first = runs[0][config]
-    if any(r[config]["counts"] != first["counts"] for r in runs):
-        raise RuntimeError(f"{config}: counts differ between runs of one side")
-    summary = {key: statistics.median(r[config][key] for r in runs)
-               for key in ("ms_per_symbol", "faults_per_symbol")}
-    summary["ms_per_symbol_quartiles"] = quartiles([r[config]["ms_per_symbol"] for r in runs])
-    summary["stage_ms_per_symbol"] = {
-        stage: statistics.median(r[config]["stage_ms_per_symbol"].get(stage, 0.0)
-                                 for r in runs)
-        for stage in first["stage_ms_per_symbol"]}
-    summary["counts"] = first["counts"]
-    summary["counts_agree"] = all(r[config]["counts_agree"] for r in runs)
-    return summary
+def measure(packages: dict, scheme, n_tx, n_rx, frames) -> dict:
+    """One config of the matrix, with each side's package from ``packages``."""
+    configs = {side: packages[side].sim.SimConfig(
+        scheme=scheme, n_tx=n_tx, n_rx=n_rx, ebn0_db=(EBN0_DB,), frames=frames,
+        seed=SEED, symbols_per_frame=SYMBOLS_PER_FRAME) for side in SIDES}
+    short = {side: dataclasses.replace(c, frames=PAIR_FRAMES) for side, c in configs.items()}
+    for side in SIDES:
+        packages[side].sim.run_point(
+            dataclasses.replace(configs[side], frames=1, symbols_per_frame=1), EBN0_DB)
+    runs = {side: [] for side in SIDES}
+    for pair in range(PAIRS):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            runs[side].append(_timed(packages[side].sim.run_point, short[side]))
+    symbols = PAIR_FRAMES * SYMBOLS_PER_FRAME
+    row = {}
+    for side in SIDES:
+        ms = [seconds * 1e3 / symbols for seconds, _ in runs[side]]
+        stages, counts = _traced(packages[side], configs[side])
+        row[side] = {"ms_per_symbol": statistics.median(ms),
+                     "ms_per_symbol_quartiles": quartiles(ms),
+                     "faults_per_symbol": sum(f for _, f in runs[side]) / symbols / PAIRS,
+                     "stage_ms_per_symbol": stages, "counts": counts}
+    ratios = [b / a for (b, _), (a, _) in zip(runs["before"], runs["after"])]
+    row["pair_ratio"] = {"median": statistics.median(ratios), "quartiles": quartiles(ratios)}
+    row["counts_equal"] = row["before"]["counts"] == row["after"]["counts"]
+    return row
 
 
-def compare(before_rev: str, reps: int) -> dict:
+def line_count(src: Path) -> int:
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in (src / "scckm").glob("*.py"))
+
+
+def compare(before_rev: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        before_src, after_src = Path(tmp, "old", "src"), Path(tmp, "new", "src")
+        srcs = {"before": Path(tmp, "old", "src"), "after": Path(tmp, "new", "src")}
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
                                   before_rev, "src"], capture_output=True, check=True)
-        before_src.parent.mkdir()
-        subprocess.run(["tar", "-x", "-C", str(before_src.parent)], input=archive.stdout,
-                       check=True)
-        shutil.copytree(ROOT / "src", after_src,
+        srcs["before"].parent.mkdir()
+        subprocess.run(["tar", "-x", "-C", str(srcs["before"].parent)],
+                       input=archive.stdout, check=True)
+        shutil.copytree(ROOT / "src", srcs["after"],
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        runs = {"before": [], "after": []}
-        for rep in range(reps):
-            order = ("before", "after") if rep % 2 == 0 else ("after", "before")
-            for side in order:
-                runs[side].append(run_child(before_src if side == "before" else after_src))
-        lines = {"before": line_count(before_src), "after": line_count(after_src)}
-    configs = {}
-    for name, *_ in CONFIGS:
-        before, after = median_of(runs["before"], name), median_of(runs["after"], name)
-        configs[name] = {"before": before, "after": after,
-                         "speedup": before["ms_per_symbol"] / after["ms_per_symbol"],
-                         "counts_equal": before["counts"] == after["counts"]}
+        packages = {side: load_tree(f"scckm_{side}", srcs[side]) for side in SIDES}
+        configs = {name: measure(packages, *rest) for name, *rest in CONFIGS}
+        lines = {side: line_count(srcs[side]) for side in SIDES}
     return {
         "command": " ".join([Path(sys.executable).name, *sys.argv]),
         "before": {"revision": before_rev, "src_scckm_lines": lines["before"]},
         "after": {"revision": "working tree", "src_scckm_lines": lines["after"]},
-        "settings": {"seed": SEED, "ebn0_db": EBN0_DB,
-                     "frames": {name: frames for name, *_, frames in CONFIGS},
-                     "symbols_per_frame": SYMBOLS_PER_FRAME, "reps": reps,
-                     "statistic": "median over reps, and quartiles (inclusive) of "
-                                  "ms_per_symbol"},
+        "settings": {"seed": SEED, "ebn0_db": EBN0_DB, "pairs": PAIRS,
+                     "pair_frames": PAIR_FRAMES,
+                     "traced_frames": {name: frames for name, *_, frames in CONFIGS},
+                     "symbols_per_frame": SYMBOLS_PER_FRAME,
+                     "statistic": "median and quartiles (inclusive) over the pairs of "
+                                  "ms_per_symbol and of the ratio before/after; mean "
+                                  "faults_per_symbol; one traced run per side"},
         "machine": machine_facts(),
         "configs": configs,
     }
@@ -205,27 +201,18 @@ def cell(median: float, bounds: list) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--before", help="git revision to compare against")
-    parser.add_argument("--out", type=Path, help="JSON file to write")
-    parser.add_argument("--reps", type=int, default=15, help="interpreters per side")
-    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--before", required=True, help="git revision to compare against")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.child is not None:
-        print(json.dumps(measure(args.child)))
-        return 0
-    if args.before is None or args.out is None:
-        parser.error("--before and --out are required")
-    if args.reps < 2:
-        parser.error("--reps must be >= 2: quartiles need two runs")
-    report = compare(args.before, args.reps)
+    report = compare(args.before)
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for name, row in report["configs"].items():
-        before, after = row["before"], row["after"]
+        before, after, ratio = row["before"], row["after"], row["pair_ratio"]
         print(f"{name}: {cell(before['ms_per_symbol'], before['ms_per_symbol_quartiles'])} -> "
-              f"{cell(after['ms_per_symbol'], after['ms_per_symbol_quartiles'])} ms/symbol "
-              f"({row['speedup']:.2f}x), faults/symbol "
-              f"{before['faults_per_symbol']:.0f} -> "
-              f"{after['faults_per_symbol']:.0f}, counts equal: {row['counts_equal']}")
+              f"{cell(after['ms_per_symbol'], after['ms_per_symbol_quartiles'])} ms/symbol, "
+              f"pair ratio {cell(ratio['median'], ratio['quartiles'])}, faults/symbol "
+              f"{before['faults_per_symbol']:.0f} -> {after['faults_per_symbol']:.0f}, "
+              f"counts equal: {row['counts_equal']}")
     return 0 if all(row["counts_equal"] for row in report["configs"].values()) else 1
 
 

@@ -42,7 +42,8 @@ def apply_channel(tx_samples: np.ndarray, taps: np.ndarray,
 
     tx_samples (n_tx, T) and taps (n_rx, n_tx, p) give (n_rx, T + p - 1): each
     receive stream sums the linear convolutions over transmit antennas.
-    noise_variance is the total variance N0 per complex sample; the noise is
+    noise_variance is the total variance N0 per complex sample, an int, float
+    or numpy real that is not a bool; the noise is
     sqrt(N0/2) * (randn + j*randn) per sample, independent across antennas.
     """
     n_rx, n_tx, p = _taps_shape(taps)
@@ -52,6 +53,9 @@ def apply_channel(tx_samples: np.ndarray, taps: np.ndarray,
             f"tx samples shape {tx_samples.shape} does not match "
             f"{n_tx} transmit antennas"
         )
+    if isinstance(noise_variance, bool) or not isinstance(
+            noise_variance, (int, float, np.integer, np.floating)):
+        raise ValueError(f"noise variance must be a real number, got {noise_variance!r}")
     if not (math.isfinite(noise_variance) and noise_variance >= 0):
         raise ValueError(f"noise variance must be finite and >= 0, got {noise_variance}")
     t = tx_samples.shape[1]

@@ -55,9 +55,14 @@ def parse_ebn0(text: str) -> tuple:
         if not values:
             raise ValueError(f"empty ebn0 range {text!r}")
         return tuple(values)
-    values = tuple(float(p) for p in text.split(",") if p.strip())
-    if not values:
+    entries = [p.strip() for p in text.split(",") if p.strip()]
+    if not entries:
         raise ValueError(f"empty ebn0 list {text!r}")
+    values = tuple(map(float, entries))
+    for entry, value in zip(entries, values):
+        # 1e400 overflows to inf: only an infinity spelled out means noiseless
+        if not math.isfinite(value) and entry.lower().lstrip("+-") not in ("inf", "infinity"):
+            raise ValueError(f"ebn0 {entry!r} is not a finite number; write inf for no noise")
     return values
 
 

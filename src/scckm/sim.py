@@ -124,6 +124,8 @@ class SimConfig:
         for value in self.ebn0_db:
             noise_variance(self, value)  # raises ValueError where there is none
         ebn0_db = tuple(map(float, self.ebn0_db))
+        if not isinstance(self.ofdm, OfdmParams):
+            raise ValueError(f"ofdm must be an OfdmParams, got {self.ofdm!r}")
         if self.taps > self.ofdm.cp_len + 1:
             raise ValueError(
                 f"{self.taps} taps exceed cyclic prefix length {self.ofdm.cp_len} + 1"

@@ -111,10 +111,11 @@ def test_rejects_mismatched_tx_shape():
 
 
 def test_rejects_negative_variance():
-    # NaN fails every comparison, so a "> 0" test alone would skip the noise
+    # NaN fails every comparison, so a "> 0" test alone would skip the noise;
+    # True added unit-variance noise, and the last three raised a bare TypeError
     taps = np.ones((1, 1, 1), dtype=complex)
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="noise variance"):
+    for bad in (-1.0, math.nan, math.inf, True, "0.1", None, 1j):
+        with pytest.raises(ValueError, match="^noise variance must be"):
             apply_channel(np.ones((1, 4), dtype=complex), taps, bad,
                           np.random.default_rng(0))
 

@@ -64,6 +64,11 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"^ebn0 {ebn0_db} dB is out of range"):
             small_config(ebn0_db=(ebn0_db,))
 
+    @pytest.mark.parametrize("ofdm", [None, (64, 16)])
+    def test_rejects_ofdm_that_is_not_ofdm_params(self, ofdm):
+        with pytest.raises(ValueError, match="^ofdm must be an OfdmParams"):
+            small_config(ofdm=ofdm)
+
     def test_taps_must_fit_in_prefix(self):
         with pytest.raises(ValueError):
             small_config(taps=6)
@@ -364,6 +369,13 @@ class TestParseEbn0:
 
     def test_comma_list_with_inf(self):
         assert parse_ebn0("1,3.5,inf") == (1.0, 3.5, float("inf"))
+        assert parse_ebn0("+inf, Infinity") == (float("inf"),) * 2
+
+    # 1e400 overflows to inf, which would run without noise
+    @pytest.mark.parametrize("bad", ["1e400", "0,-1e400", "nan"])
+    def test_non_finite_entry_must_be_spelled_as_infinity(self, bad):
+        with pytest.raises(ValueError, match="is not a finite number; write inf"):
+            parse_ebn0(bad)
 
     @pytest.mark.parametrize("bad", ["", "0:0:4", "0:2", "a,b",
                                      "0:2:inf", "nan:1:2", "0:inf:10"])
@@ -499,6 +511,12 @@ class TestMain:
         assert capsys.readouterr().err == (
             "error: ebn0 4000.0 dB is out of range: its noise variance is not "
             "a finite positive float\n")
+
+    def test_overflowing_ebn0_exits_1(self, capsys):
+        rc = main(["--scheme", "scck2", "--nrx", "2", "--ebn0", "0,1e400"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ebn0 '1e400' is not a finite number; write inf for no noise\n")
 
     # one value per setting, each different from its default; out is set per run
     SETTING_VALUES = {"scheme": "sm-4qam", "ntx": "2", "nrx": "3", "ebn0": "0,3",
