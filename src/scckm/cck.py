@@ -9,7 +9,6 @@ integers (or Gaussian integers) come out bit-exact.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -54,10 +53,6 @@ class Codebook:
     @property
     def length_n(self) -> int:
         return self.entries.shape[1]
-
-    @property
-    def bits_per_codeword(self) -> int:
-        return self.entries.shape[0].bit_length() - 1
 
 
 def require_count(name: str, value, low: int = 1, power_of_two: bool = False) -> int:
@@ -228,26 +223,3 @@ def cck8_codebook() -> Codebook:
     bits = unpack_bits(np.arange(256), 8).T  # (256, 8)
     phases = _GROUP_QUARTER_PHASE[bits[:, 0::2], bits[:, 1::2]]
     return Codebook(_cck_chips(phases, _QUARTER_UNITS))
-
-
-@contextlib.contextmanager
-def open_text(target, mode: str):
-    """Yield target itself if it is a file object, else open it as a UTF-8 path."""
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, mode, encoding="utf-8", newline="") as fh:
-            yield fh
-    else:
-        yield target
-
-
-def export_codebook_csv(codebook: Codebook, destination) -> None:
-    """Write a codebook as CSV: index, bit_pattern, then chip re/im columns."""
-    with open_text(destination, "w") as fh:
-        chip_cols = ",".join(
-            f"chip_{j}_re,chip_{j}_im" for j in range(codebook.length_n)
-        )
-        fh.write(f"index,bit_pattern,{chip_cols}\n")
-        m = codebook.bits_per_codeword
-        for i, row in enumerate(codebook.entries):
-            chips = ",".join(f"{float(c.real)!r},{float(c.imag)!r}" for c in row)
-            fh.write(f"{i},{i:0{m}b},{chips}\n")

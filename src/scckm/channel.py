@@ -56,7 +56,11 @@ def apply_channel(tx_samples: np.ndarray, taps: np.ndarray,
     if isinstance(noise_variance, bool) or not isinstance(
             noise_variance, (int, float, np.integer, np.floating)):
         raise ValueError(f"noise variance must be a real number, got {noise_variance!r}")
-    if not (math.isfinite(noise_variance) and noise_variance >= 0):
+    try:  # a float32 compared with a float bound rounds it to inf; a huge int overflows
+        finite = 0 <= float(noise_variance) < math.inf
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"noise variance must be finite and >= 0, got {noise_variance}")
     t = tx_samples.shape[1]
     out = np.zeros((n_rx, t + p - 1), dtype=np.complex128)

@@ -9,6 +9,7 @@ thread and the early-stop check runs at frame boundaries.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import sys
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cck import (Codebook, cck2_codebook, cck4_reference_codebook, cck8_codebook,
-                  open_text, require_count)
+                  require_count)
 from .channel import apply_channel, freq_response, generate_channel, gram_response
 from .modem import (ml_detect_scck_grid, ml_detect_sm_equalized_grid, scck_map,
                     scck_table, sm_map, sm_table, zf_equalize_grid)
@@ -251,6 +252,16 @@ def run_sweep(config: SimConfig, workers: int = 1) -> BerCurve:
         run_point(config, e, workers=workers) for e in sorted(config.ebn0_db)
     )
     return BerCurve(config=config, points=points)
+
+
+@contextlib.contextmanager
+def open_text(target, mode: str):
+    """Yield target itself if it is a file object, else open it as a UTF-8 path."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield target
 
 
 def emit_csv(curve: BerCurve, destination) -> None:

@@ -1,7 +1,6 @@
 """Codebook construction, complementary pairs, distances and subset search."""
 
 import hashlib
-import io
 import itertools
 
 import numpy as np
@@ -9,9 +8,9 @@ import pytest
 
 from scckm.cck import (Codebook, cck2_codebook, cck4_enumerate,
                        cck4_reference_codebook, cck8_codebook, cck8_codeword,
-                       dmin_closed_form, export_codebook_csv, golay_pair,
-                       min_distance, pack_bits, select_cck4_subset,
-                       select_min_distance_subset, unpack_bits)
+                       dmin_closed_form, golay_pair, min_distance, pack_bits,
+                       select_cck4_subset, select_min_distance_subset,
+                       unpack_bits)
 
 
 def aperiodic_autocorr(seq, shift):
@@ -72,12 +71,6 @@ class TestCck2:
         assert cb.entries.shape == (4, 2)
         assert np.array_equal(cb.entries, expected)
 
-    def test_bit_patterns(self):
-        buf = io.StringIO()
-        export_codebook_csv(cck2_codebook(), buf)
-        rows = buf.getvalue().splitlines()[1:]
-        assert [row.split(",")[1] for row in rows] == ["00", "01", "10", "11"]
-
     def test_min_distance(self):
         cb = cck2_codebook()
         assert abs(min_distance(cb) - 2.0) < 1e-12
@@ -119,7 +112,6 @@ class TestCck8:
     def test_size(self):
         cb = cck8_codebook()
         assert cb.entries.shape == (256, 8)
-        assert cb.bits_per_codeword == 8
         assert np.allclose(np.abs(cb.entries), 1.0, atol=1e-12)
 
     def test_worked_byte(self):
@@ -201,7 +193,6 @@ class TestSubsetSearch:
         cb = select_cck4_subset(cck4_enumerate(), 200, np.random.default_rng(0))
         assert isinstance(cb, Codebook)
         assert cb.entries.shape == (16, 4)
-        assert cb.bits_per_codeword == 4
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
@@ -221,29 +212,12 @@ def test_dmin_closed_form_rejects_non_integers():
         dmin_closed_form(4.0, 4)
 
 
-def test_export_codebook_csv_round_trip():
-    cb = cck2_codebook()
-    buf = io.StringIO()
-    export_codebook_csv(cb, buf)
-    lines = buf.getvalue().strip().splitlines()
-    header = lines[0].split(",")
-    assert header[:2] == ["index", "bit_pattern"]
-    assert len(lines) == 1 + len(cb)
-    row = lines[2].split(",")
-    assert row[0] == "1" and row[1] == "01"
-    chips = np.array([float(row[2]) + 1j * float(row[3]),
-                      float(row[4]) + 1j * float(row[5])])
-    assert np.array_equal(chips, cb.entries[1])
-
-
 def test_codebook_bytes_are_pinned():
-    # the digest covers the sign of every zero chip part (-0.0 prints as such
-    # in the CSV), which no value comparison sees
+    # the digest covers every chip byte, so also the sign of each zero chip
+    # part, which no value comparison sees
     digest = hashlib.sha256()
     for factory in (cck2_codebook, cck4_reference_codebook, cck8_codebook):
-        buf = io.StringIO()
-        export_codebook_csv(factory(), buf)
-        digest.update(buf.getvalue().encode("utf-8"))
+        digest.update(factory().entries.tobytes())
     digest.update(cck4_enumerate().tobytes())
     assert digest.hexdigest() == \
-        "83bf7253bedc05f0238068e645a375ec3fe5e41eced7a4c7c40ba062ebb4e39c"
+        "a72cbb9d01c1f34bb03388ece5c2025a65af031b84be1dbada1c1622c77b442e"

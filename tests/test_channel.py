@@ -112,9 +112,12 @@ def test_rejects_mismatched_tx_shape():
 
 def test_rejects_negative_variance():
     # NaN fails every comparison, so a "> 0" test alone would skip the noise;
-    # True added unit-variance noise, and the last three raised a bare TypeError
+    # True added unit-variance noise, "0.1", None and 1j raised a bare
+    # TypeError, and the ints past float range raised OverflowError; a float32
+    # inf passes a comparison with a float bound, which rounds to inf in float32
     taps = np.ones((1, 1, 1), dtype=complex)
-    for bad in (-1.0, math.nan, math.inf, True, "0.1", None, 1j):
+    for bad in (-1.0, math.nan, math.inf, True, "0.1", None, 1j, 10 ** 400, -10 ** 400,
+                2 ** 1030, np.float32(np.inf)):
         with pytest.raises(ValueError, match="^noise variance must be"):
             apply_channel(np.ones((1, 4), dtype=complex), taps, bad,
                           np.random.default_rng(0))

@@ -294,7 +294,7 @@ class TestLoopback:
     def test_scck(self):
         rng = np.random.default_rng(12)
         for cb in (cck2_codebook(), cck4_reference_codebook(), cck8_codebook()):
-            bits = rng.integers(0, 2, size=(cb.bits_per_codeword, 128))
+            bits = rng.integers(0, 2, size=(len(cb).bit_length() - 1, 128))
             det = ml_detect_scck_grid(scck_map(bits, cb).T, cb)
             assert np.array_equal(det.bits, bits)
 
