@@ -49,7 +49,10 @@ def parse_ebn0(text: str) -> tuple:
             raise ValueError(f"ebn0 range needs finite start:step:stop, got {text!r}")
         if step <= 0:
             raise ValueError(f"ebn0 step must be positive, got {step}")
-        count = int(round((stop - start) / step)) + 1
+        steps = (stop - start) / step  # inf for a subnormal step
+        if not steps < 10_000:
+            raise ValueError(f"ebn0 range {text!r} has {steps:.3g} steps, not under 10000")
+        count = int(round(steps)) + 1
         values = [start + i * step for i in range(max(count, 0))]
         values = [v for v in values if v <= stop + 1e-9]
         if not values:
@@ -67,7 +70,7 @@ def parse_ebn0(text: str) -> tuple:
 
 
 def read_config_file(path: str) -> dict:
-    """key=value lines keyed by long flag name; # comments ignored, unknown keys rejected."""
+    """key=value lines keyed by long flag name, typed per SETTINGS; # comments ignored."""
     settings = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -80,7 +83,12 @@ def read_config_file(path: str) -> dict:
             name = key.strip().replace("-", "_")
             if name not in SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key.strip()!r}")
-            settings[name] = value.strip()
+            kind, value = SETTINGS[name][0], value.strip()
+            try:
+                settings[name] = kind(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: key {name!r} expects an integer, "
+                                 f"got {value!r}") from None
     return settings
 
 
@@ -101,14 +109,6 @@ def _resolve(args: argparse.Namespace) -> dict:
         settings.update(read_config_file(args.config))
     settings.update((key, value) for key, value in vars(args).items()
                     if key != "config" and value is not None)
-    # flags arrive typed from argparse; strings come from the config file
-    for key, (kind, _, _) in SETTINGS.items():
-        if kind is int and isinstance(value := settings[key], str):
-            try:
-                settings[key] = int(value)
-            except ValueError:
-                raise ValueError(f"{args.config}: key {key!r} expects an integer, "
-                                 f"got {value!r}") from None
     if settings["ebn0"] is not None:
         settings["ebn0"] = parse_ebn0(settings["ebn0"])
     return settings

@@ -21,7 +21,8 @@ import numpy as np
 
 from .cck import (Codebook, cck2_codebook, cck4_reference_codebook, cck8_codebook,
                   require_count)
-from .channel import apply_channel, freq_response, generate_channel, gram_response
+from .channel import (_twiddles, apply_channel, freq_response, generate_channel,
+                      gram_response)
 from .modem import (ml_detect_scck_grid, ml_detect_sm_equalized_grid, scck_map,
                     scck_table, sm_map, sm_table, zf_equalize_grid)
 from .ofdm import OfdmParams, ofdm_demodulate, ofdm_modulate
@@ -127,10 +128,7 @@ class SimConfig:
         ebn0_db = tuple(map(float, self.ebn0_db))
         if not isinstance(self.ofdm, OfdmParams):
             raise ValueError(f"ofdm must be an OfdmParams, got {self.ofdm!r}")
-        if self.taps > self.ofdm.cp_len + 1:
-            raise ValueError(
-                f"{self.taps} taps exceed cyclic prefix length {self.ofdm.cp_len} + 1"
-            )
+        _twiddles(self.ofdm, self.taps)  # raises where the prefix cannot hold the taps
         object.__setattr__(self, "ebn0_db", ebn0_db)
 
     @cached_property
@@ -179,7 +177,8 @@ def noise_variance(config: SimConfig, ebn0_db: float) -> float:
     if ebn0_db == math.inf:
         return 0.0
     try:
-        n0 = 1.0 / (config.bits_per_subcarrier * 10.0 ** (ebn0_db / 10.0))
+        # in double precision whatever the input's: np.float16(60) would overflow
+        n0 = 1.0 / (config.bits_per_subcarrier * 10.0 ** (float(ebn0_db) / 10.0))
     except (OverflowError, ZeroDivisionError):  # 10 ** (ebn0_db / 10) overflowed or hit 0
         n0 = math.nan
     if not 0.0 < n0 < math.inf:
@@ -192,22 +191,6 @@ def _symbol_rng(seed: int, frame: int, symbol: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(frame, symbol)))
 
 
-def _scheme_ops(config: SimConfig):
-    """(map, detect) for the config's scheme; detect takes the ZF grid.
-
-    The stage functions are looked up as module globals at call time, so a
-    tool that swaps them in this namespace (perfbench's tracer) sees each call.
-    """
-    scheme = SCHEMES[config.scheme]
-    if scheme.codebook is not None:
-        book = scheme.codebook()
-        return (lambda bits: scck_map(bits, book),
-                lambda equalized: ml_detect_scck_grid(equalized, book).bits)
-    n_tx, name = config.n_tx, scheme.constellation
-    return (lambda bits: sm_map(bits, n_tx, name),
-            lambda equalized: ml_detect_sm_equalized_grid(equalized, n_tx, name).bits)
-
-
 def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     """Simulate one Eb/N0 point, early-stopping at max_bit_errors if set.
 
@@ -217,7 +200,13 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     require_count("worker count", workers)
     n0 = noise_variance(config, ebn0_db)
     ebn0_db = float(ebn0_db)
-    map_bits, detect = _scheme_ops(config)
+    scheme = SCHEMES[config.scheme]
+    # read once per point: perfbench's tracer swaps these names around run_point
+    if scheme.codebook is not None:
+        map_bits, detect, args = scck_map, ml_detect_scck_grid, (scheme.codebook(),)
+    else:
+        map_bits, detect = sm_map, ml_detect_sm_equalized_grid
+        args = (config.n_tx, scheme.constellation)
     params = config.ofdm
     m = config.bits_per_subcarrier
     limit = config.max_bit_errors
@@ -228,12 +217,12 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
             rng = _symbol_rng(config.seed, frame, symbol)
             bits = rng.integers(0, 2, size=(m, params.n_sub), dtype=np.uint8)
             channel = generate_channel(config.n_tx, config.n_rx, config.taps, rng)
-            tx = ofdm_modulate(map_bits(bits), params)
+            tx = ofdm_modulate(map_bits(bits, *args), params)
             rx = apply_channel(tx, channel, n0, rng)
             received = ofdm_demodulate(rx[:, : params.n_sub + params.cp_len], params).T
             hk = freq_response(channel, params)
             gram = gram_response(channel, params)
-            decoded = detect(zf_equalize_grid(received, hk, gram))
+            decoded = detect(zf_equalize_grid(received, hk, gram), *args).bits
             errors += int(np.count_nonzero(decoded != bits))
         frames_run += 1
         if limit is not None and errors >= limit:

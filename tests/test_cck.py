@@ -198,6 +198,10 @@ class TestSubsetSearch:
         with pytest.raises(ValueError):
             select_cck4_subset(cck4_enumerate(), 0, np.random.default_rng(0))
 
+    def test_rejects_subset_larger_than_candidates(self):
+        with pytest.raises(ValueError, match="^subset size 6 out of range for 5 candidates$"):
+            select_min_distance_subset(cck4_enumerate()[:5], 6, 1, np.random.default_rng(0))
+
     def test_rejects_non_integer_sample_count(self):
         with pytest.raises(ValueError, match="integer"):
             select_cck4_subset(cck4_enumerate(), 2.5, np.random.default_rng(0))

@@ -28,6 +28,10 @@ class TestMapping:
             with pytest.raises(ValueError, match="must be 0 or 1"):
                 scck_map(np.array([[0, bad], [1, 0]]), cck2_codebook())
 
+    def test_scck_map_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError, match="^bit matrix must have 2 rows, got shape \\(3, 4\\)$"):
+            scck_map(np.zeros((3, 4), dtype=np.uint8), cck2_codebook())
+
     def test_sm_map_single_active_antenna(self):
         bits = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0]])
         grid = sm_map(bits, 4, "bpsk")
@@ -69,6 +73,10 @@ class TestMapping:
 
 
 class TestZeroForcing:
+    def test_grid_needs_enough_receivers(self):
+        with pytest.raises(ValueError, match="^need n_rx >= n_tx, got channel shape \\(2, 3\\)$"):
+            zf_equalize_grid(np.zeros((4, 2), dtype=complex), np.zeros((4, 2, 3), dtype=complex))
+
     def test_square_recovery(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

@@ -62,6 +62,14 @@ def test_grid_batch_shapes():
     assert np.max(np.abs(back - grid)) < 1e-12
 
 
+def test_rejects_wrong_lengths():
+    params = OfdmParams(n_sub=32, cp_len=4)
+    with pytest.raises(ValueError, match="^expected 32 subcarriers, got 31$"):
+        ofdm_modulate(np.zeros(31), params)
+    with pytest.raises(ValueError, match="^expected 36 samples, got 35$"):
+        ofdm_demodulate(np.zeros(35), params)
+
+
 @pytest.mark.parametrize("n_sub,cp", [(0, 0), (100, 4), (64, 64), (64, -1)])
 def test_invalid_params(n_sub, cp):
     with pytest.raises(ValueError):

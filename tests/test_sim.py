@@ -69,6 +69,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="^ofdm must be an OfdmParams"):
             small_config(ofdm=ofdm)
 
+    def test_rejects_empty_ebn0(self):
+        with pytest.raises(ValueError, match="^ebn0 list must be non-empty$"):
+            small_config(ebn0_db=())
+
+    def test_narrow_numpy_ebn0_is_stored_as_a_float(self):
+        # float16 has no 10 ** 6: the noise variance is computed in double precision
+        ebn0_db = small_config(ebn0_db=(np.float16(60),)).ebn0_db
+        assert ebn0_db == (60.0,) and type(ebn0_db[0]) is float
+
     def test_taps_must_fit_in_prefix(self):
         with pytest.raises(ValueError):
             small_config(taps=6)
@@ -169,6 +178,12 @@ class TestNoiseVariance:
         assert noise_variance(cfg, np.float32(10.0)) == noise_variance(cfg, 10.0)
         assert noise_variance(cfg, np.int64(10)) == noise_variance(cfg, 10)
 
+    def test_narrow_numpy_reals_are_computed_in_double_precision(self):
+        cfg = small_config()
+        assert noise_variance(cfg, np.float16(60)) == noise_variance(cfg, 60.0)
+        assert noise_variance(cfg, np.float32(400)) == noise_variance(cfg, 400.0)
+        assert type(noise_variance(cfg, np.float32(10.0))) is float
+
 
 class TestRunPoint:
     def test_bit_accounting(self):
@@ -251,6 +266,31 @@ class TestRunPoint:
         assert done.returncode == 0, done.stderr
         per_symbol = float(done.stdout)
         assert per_symbol < 20, f"{per_symbol:.0f} minor page faults per OFDM symbol"
+
+    # the names perfbench's tracer swaps in scckm.sim (its PROGRAM_STAGES), and the Gram
+    STAGES = ("_symbol_rng", "generate_channel", "scck_map", "sm_map", "ofdm_modulate",
+              "apply_channel", "ofdm_demodulate", "freq_response", "gram_response",
+              "zf_equalize_grid", "ml_detect_scck_grid", "ml_detect_sm_equalized_grid")
+
+    @pytest.mark.parametrize("scheme,other", [
+        ("scck2", ("sm_map", "ml_detect_sm_equalized_grid")),
+        ("sm-bpsk", ("scck_map", "ml_detect_scck_grid")),
+    ], ids=["scck2", "sm-bpsk"])
+    def test_stages_are_called_through_the_module(self, monkeypatch, scheme, other):
+        calls = dict.fromkeys(self.STAGES, 0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in self.STAGES:
+            monkeypatch.setattr(sim, name, counted(name, getattr(sim, name)))
+        cfg = small_config(scheme=scheme)
+        run_point(cfg, 4.0)
+        symbols = cfg.frames * cfg.symbols_per_frame
+        assert calls == {name: 0 if name in other else symbols for name in self.STAGES}
 
     def test_workers_below_one_rejected(self):
         for workers in (0, -5):
@@ -344,6 +384,12 @@ class TestCsv:
         assert seed == 9
         assert [tuple(p) for p in points] == [tuple(p) for p in curve.points]
 
+    def test_blank_lines_are_skipped(self):
+        text = ("\n# config: scheme=scck2\n\n# seed: 3\nebn0_db,bits_simulated,bit_errors,ber\n"
+                "\n0.0,64,2,0.03125\n\n")
+        assert read_csv(io.StringIO(text)) == ("scheme=scck2", 3,
+                                               [sim.BerPoint(0.0, 64, 2, 0.03125)])
+
     def test_canonical_string_excludes_scheduling(self):
         cfg = small_config()
         s = canonical_config_string(cfg)
@@ -377,6 +423,22 @@ class TestParseEbn0:
         with pytest.raises(ValueError, match="is not a finite number; write inf"):
             parse_ebn0(bad)
 
+    def test_empty_range(self):
+        with pytest.raises(ValueError, match="^empty ebn0 range '5:1:0'$"):
+            parse_ebn0("5:1:0")
+
+    # 5e-324 makes the step count inf; 1e-300 would ask for 1e300 points
+    @pytest.mark.parametrize("text,steps", [("0:5e-324:1", "inf"), ("0:1e-5:1", "1e\\+05")],
+                             ids=["subnormal-step", "1e5-steps"])
+    def test_range_with_too_many_steps(self, text, steps):
+        with pytest.raises(ValueError,
+                           match=f"^ebn0 range '{text}' has {steps} steps, not under 10000$"):
+            parse_ebn0(text)
+
+    def test_fine_step(self):
+        values = parse_ebn0("0:1e-3:1")
+        assert len(values) == 1001 and values[-1] == 1.0
+
     @pytest.mark.parametrize("bad", ["", "0:0:4", "0:2", "a,b",
                                      "0:2:inf", "nan:1:2", "0:inf:10"])
     def test_malformed(self, bad):
@@ -397,7 +459,7 @@ class TestConfigFile:
         )
         settings = read_config_file(str(cfg_file))
         assert settings["scheme"] == "scck2"
-        assert settings["max_bit_errors"] == "100"
+        assert settings["max_bit_errors"] == 100
 
     def test_bad_line(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -421,6 +483,14 @@ class TestBuildConfig:
     def test_sm_requires_explicit_ntx(self):
         with pytest.raises(ValueError):
             build_config({"scheme": "sm-bpsk", "nrx": 4, "ebn0": (6.0,)})
+
+    def test_requires_nrx(self):
+        with pytest.raises(ValueError, match="^--nrx is required$"):
+            build_config({"scheme": "scck2", "ebn0": (6.0,)})
+
+    def test_requires_ebn0(self):
+        with pytest.raises(ValueError, match="^--ebn0 is required$"):
+            build_config({"scheme": "scck2", "nrx": 2})
 
     def test_defaults(self):
         cfg = build_config({"scheme": "scck2", "nrx": 2, "ebn0": (0.0,)})
@@ -477,7 +547,24 @@ class TestMain:
         rc = main(["--config", str(cfg_file)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: {cfg_file}: key 'frames' expects an integer, got 'ten'\n")
+            f"error: {cfg_file}:4: key 'frames' expects an integer, got 'ten'\n")
+
+    def test_non_integer_config_value_exits_1_under_a_flag(self, tmp_path, capsys):
+        # the file is typed as it is read, so a flag that overrides the key does not hide it
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("scheme=scck2\nnrx=2\nframes = ten\nebn0=inf\n")
+        assert main(["--config", str(cfg_file), "--frames", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}:3: key 'frames' expects an integer, got 'ten'\n")
+
+    def test_missing_nrx_exits_1(self, capsys):
+        assert main(["--scheme", "scck2", "--ebn0", "1"]) == 1
+        assert capsys.readouterr().err == "error: --nrx is required\n"
+
+    def test_ebn0_range_with_too_many_steps_exits_1(self, capsys):
+        assert main(["--scheme", "scck2", "--nrx", "2", "--ebn0", "0:5e-324:1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: ebn0 range '0:5e-324:1' has inf steps, not under 10000\n")
 
     def test_zero_workers_exit_1(self, capsys):
         rc = main(["--scheme", "scck2", "--nrx", "2", "--ebn0", "inf",
