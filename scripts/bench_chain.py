@@ -14,10 +14,11 @@ below runs at seed 1 and one Eb/N0, two ways:
 
 * untraced: ``PAIRS`` pairs of ``PAIR_FRAMES``-frame ``run_point`` calls,
   one per side, alternating which side goes first.  Each side gets the
-  median and quartiles of its ms per OFDM symbol and its minor page faults
-  per symbol; the pairs give the median and quartiles of the ratio
-  before/after, in which the host's slow and fast phases, which move both
-  calls of a pair alike, cancel;
+  median and quartiles of its wall-clock ms per OFDM symbol and the minor
+  page faults per symbol of this process alone, not of any helper process
+  its ``run_point`` runs frames in; the pairs give the median and quartiles
+  of the ratio before/after, in which the host's slow and fast phases,
+  which move both calls of a pair alike, cancel;
 * traced, once per side at the config's fixed frame count, with the stage
   calls ``scckm.sim`` makes timed by ``perfbench/tracing.py``: ms per symbol
   by stage, plus ``channel.gram`` on a side whose ``run_point`` calls
@@ -26,9 +27,10 @@ below runs at seed 1 and one Eb/N0, two ways:
 Both sides share the process: the heap pad ``scckm.sim`` sets on import,
 the BLAS threads and the heap itself, so a change to such state does not
 show here; perfbench's end-to-end pairs measure it.  The JSON also holds the
-machine facts of ``perfbench/run.py`` and the line count of each side's
-``src/scckm``.  The script writes the JSON and prints one row per config,
-then exits 1 if any config's error counts differ between the two sides.
+machine facts of ``perfbench/run.py``, the number of CPUs this process may
+run on and the line count of each side's ``src/scckm``.  The script writes
+the JSON and prints one row per config, then exits 1 if any config's error
+counts differ between the two sides.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import argparse
 import dataclasses
 import importlib.util
 import json
+import os
 import resource
 import shutil
 import statistics
@@ -188,8 +191,9 @@ def compare(before_rev: str) -> dict:
                      "symbols_per_frame": SYMBOLS_PER_FRAME,
                      "statistic": "median and quartiles (inclusive) over the pairs of "
                                   "ms_per_symbol and of the ratio before/after; mean "
-                                  "faults_per_symbol; one traced run per side"},
-        "machine": machine_facts(),
+                                  "faults_per_symbol of the calling process only, not "
+                                  "of helper processes; one traced run per side"},
+        "machine": {**machine_facts(), "affinity_cpus": len(os.sched_getaffinity(0))},
         "configs": configs,
     }
 
@@ -210,8 +214,9 @@ def main(argv=None) -> int:
         before, after, ratio = row["before"], row["after"], row["pair_ratio"]
         print(f"{name}: {cell(before['ms_per_symbol'], before['ms_per_symbol_quartiles'])} -> "
               f"{cell(after['ms_per_symbol'], after['ms_per_symbol_quartiles'])} ms/symbol, "
-              f"pair ratio {cell(ratio['median'], ratio['quartiles'])}, faults/symbol "
-              f"{before['faults_per_symbol']:.0f} -> {after['faults_per_symbol']:.0f}, "
+              f"pair ratio {cell(ratio['median'], ratio['quartiles'])}, "
+              f"calling-process faults/symbol {before['faults_per_symbol']:.0f} -> "
+              f"{after['faults_per_symbol']:.0f}, "
               f"counts equal: {row['counts_equal']}")
     return 0 if all(row["counts_equal"] for row in report["configs"].values()) else 1
 

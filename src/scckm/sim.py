@@ -3,16 +3,24 @@
 One experiment is a SimConfig: a scheme, a MIMO size, an Eb/N0 list, frame
 counts and a master seed.  Every (frame, symbol) pair owns its own RNG
 substream derived from the master seed by counter-based spawning, so error
-counts depend only on the config.  Frames run in index order on the calling
-thread and the early-stop check runs at frame boundaries.
+counts depend only on the config.  A point's frames run in waves, one frame
+in the calling process and one in each helper process forked on the first
+call (one helper per CPU of the affinity mask past the first); counts are
+added in frame order and the early-stop check runs at frame boundaries, so
+the result is the same for any CPU count.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import ctypes
+import io
 import math
+import os
+import pickle
 import sys
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -191,51 +199,191 @@ def _symbol_rng(seed: int, frame: int, symbol: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(frame, symbol)))
 
 
+def _stages(config: SimConfig) -> tuple:
+    """(map_bits, detect, args) of the config's scheme.
+
+    The names are read from scckm.sim at each call: perfbench's tracer swaps
+    them around run_point.
+    """
+    scheme = SCHEMES[config.scheme]
+    if scheme.codebook is not None:
+        return scck_map, ml_detect_scck_grid, (scheme.codebook(),)
+    return sm_map, ml_detect_sm_equalized_grid, (config.n_tx, scheme.constellation)
+
+
+def _frame_errors(config: SimConfig, n0: float, frame: int, map_bits, detect, args) -> int:
+    """Bit errors of one frame, each symbol drawn from its own substream."""
+    params = config.ofdm
+    m = config.bits_per_subcarrier
+    errors = 0
+    for symbol in range(config.symbols_per_frame):
+        rng = _symbol_rng(config.seed, frame, symbol)
+        bits = rng.integers(0, 2, size=(m, params.n_sub), dtype=np.uint8)
+        channel = generate_channel(config.n_tx, config.n_rx, config.taps, rng)
+        tx = ofdm_modulate(map_bits(bits, *args), params)
+        rx = apply_channel(tx, channel, n0, rng)
+        received = ofdm_demodulate(rx[:, : params.n_sub + params.cp_len], params).T
+        hk = freq_response(channel, params)
+        gram = gram_response(channel, params)
+        decoded = detect(zf_equalize_grid(received, hk, gram), *args).bits
+        errors += int(np.count_nonzero(decoded != bits))
+    return errors
+
+
+class _Helper(NamedTuple):
+    """A forked process that runs the frames it is sent, one at a time."""
+
+    pid: int
+    jobs: io.BufferedWriter  # pickled (config, n0, frame) to the helper
+    counts: io.BufferedReader  # pickled bit-error counts back
+
+
+# the calling process's helpers and the pid that forked them: a process
+# forked from it inherits both, and must neither use nor reap those helpers.
+# One call at a time holds them; a call on another thread meanwhile runs alone
+_helpers: list = []
+_helpers_owner = 0
+_helpers_held = threading.Lock()
+
+
+def _fork_helper() -> _Helper:
+    job_read, job_write = os.pipe()
+    count_read, count_write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the helper runs frames until its job pipe closes, and never returns
+        try:
+            os.close(job_write)
+            os.close(count_read)
+            for sibling in _helpers:
+                sibling.jobs.close()
+                sibling.counts.close()
+            with open(job_read, "rb") as jobs, open(count_write, "wb") as counts:
+                while True:
+                    config, n0, frame = pickle.load(jobs)
+                    pickle.dump(_frame_errors(config, n0, frame, *_stages(config)), counts)
+                    counts.flush()
+        finally:
+            os._exit(0)
+    os.close(job_read)
+    os.close(count_write)
+    return _Helper(pid, open(job_write, "wb"), open(count_read, "rb"))
+
+
+def _own_helpers() -> list:
+    """This process's helpers, forked on its first call: one per CPU of its
+    affinity mask past the first, none without fork or an affinity mask."""
+    global _helpers_owner
+    if _helpers_owner != os.getpid():
+        _stop_helpers()
+        _helpers_owner = os.getpid()
+        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+            with contextlib.suppress(OSError):  # out of processes: run with fewer
+                for _ in range(len(os.sched_getaffinity(0)) - 1):
+                    _helpers.append(_fork_helper())
+    return _helpers
+
+
+def _stop_helpers() -> None:
+    """Close the pipes to the helpers, and kill and reap them if this process
+    forked them.  The next call forks fresh ones."""
+    global _helpers_owner
+    if _helpers and _helpers_owner == os.getpid():
+        import signal  # not at import time: it would add to every import of scckm
+        for helper in _helpers:
+            with contextlib.suppress(OSError):
+                os.kill(helper.pid, signal.SIGKILL)
+                os.waitpid(helper.pid, 0)
+    for helper in _helpers:
+        for end in (helper.jobs, helper.counts):
+            with contextlib.suppress(OSError):  # a job the dead helper never read
+                end.close()
+    _helpers.clear()
+    _helpers_owner = 0
+
+
+atexit.register(_stop_helpers)
+
+
+# the names a frame calls through this module, as bound at import: while any
+# is rebound (perfbench's tracer, tests), frames run in the calling process
+_IMPORT_TIME_STAGES = {name: globals()[name] for name in (
+    "_frame_errors", "_symbol_rng", "generate_channel", "scck_map", "sm_map",
+    "ofdm_modulate", "apply_channel", "ofdm_demodulate", "freq_response",
+    "gram_response", "zf_equalize_grid", "ml_detect_scck_grid",
+    "ml_detect_sm_equalized_grid")}
+
+
+def _stages_as_imported() -> bool:
+    return all(globals()[name] is fn for name, fn in _IMPORT_TIME_STAGES.items())
+
+
+def _frame_counts(config: SimConfig, n0: float):
+    """Bit errors of each frame, in frame order.
+
+    Frames go out in waves: the caller runs the first frame of a wave and
+    each helper one of the others.  Every count of a wave is read before
+    any is yielded, so no count is left in a pipe when the caller stops.
+    """
+    stages = _stages(config)
+    held = _stages_as_imported() and _helpers_held.acquire(blocking=False)
+    try:
+        helpers = _own_helpers() if held else []
+        frame = 0
+        while frame < config.frames:
+            wave = range(frame, min(frame + 1 + len(helpers), config.frames))
+            busy = helpers[:len(wave) - 1]
+            try:
+                for helper, later in zip(busy, wave[1:]):
+                    pickle.dump((config, n0, later), helper.jobs)
+                    helper.jobs.flush()
+                counts = [_frame_errors(config, n0, frame, *stages)]
+                counts += [pickle.load(helper.counts) for helper in busy]
+            except (EOFError, BrokenPipeError):
+                # a helper died: this wave and the rest of the point run here
+                _stop_helpers()
+                helpers = []
+                continue
+            except BaseException:
+                # a helper may still be sending a count that no later call must read
+                _stop_helpers()
+                raise
+            yield from counts
+            frame = wave.stop
+    finally:
+        if held:
+            _helpers_held.release()
+
+
 def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     """Simulate one Eb/N0 point, early-stopping at max_bit_errors if set.
 
-    workers must be an integer >= 1 and has no other effect: frames run in
-    order on the calling thread.
+    Frames run on the calling process and its helpers (see the module
+    docstring); they run here alone while any stage name of this module is
+    rebound, as perfbench's tracer does.  The early stop comes at the same
+    frame for any CPU count; at most one frame per helper past it is
+    computed and thrown away.  workers must be an integer >= 1 and has no
+    other effect.
     """
     require_count("worker count", workers)
     n0 = noise_variance(config, ebn0_db)
-    ebn0_db = float(ebn0_db)
-    scheme = SCHEMES[config.scheme]
-    # read once per point: perfbench's tracer swaps these names around run_point
-    if scheme.codebook is not None:
-        map_bits, detect, args = scck_map, ml_detect_scck_grid, (scheme.codebook(),)
-    else:
-        map_bits, detect = sm_map, ml_detect_sm_equalized_grid
-        args = (config.n_tx, scheme.constellation)
-    params = config.ofdm
-    m = config.bits_per_subcarrier
     limit = config.max_bit_errors
     errors = 0
     frames_run = 0
-    for frame in range(config.frames):
-        for symbol in range(config.symbols_per_frame):
-            rng = _symbol_rng(config.seed, frame, symbol)
-            bits = rng.integers(0, 2, size=(m, params.n_sub), dtype=np.uint8)
-            channel = generate_channel(config.n_tx, config.n_rx, config.taps, rng)
-            tx = ofdm_modulate(map_bits(bits, *args), params)
-            rx = apply_channel(tx, channel, n0, rng)
-            received = ofdm_demodulate(rx[:, : params.n_sub + params.cp_len], params).T
-            hk = freq_response(channel, params)
-            gram = gram_response(channel, params)
-            decoded = detect(zf_equalize_grid(received, hk, gram), *args).bits
-            errors += int(np.count_nonzero(decoded != bits))
+    for frame_errors in _frame_counts(config, n0):
+        errors += frame_errors
         frames_run += 1
         if limit is not None and errors >= limit:
             break
-    simulated = frames_run * config.symbols_per_frame * params.n_sub * m
-    return BerPoint(ebn0_db=ebn0_db, bits_simulated=simulated,
+    frame_bits = config.symbols_per_frame * config.ofdm.n_sub * config.bits_per_subcarrier
+    simulated = frames_run * frame_bits
+    return BerPoint(ebn0_db=float(ebn0_db), bits_simulated=simulated,
                     bit_errors=errors, ber=errors / simulated)
 
 
 def run_sweep(config: SimConfig, workers: int = 1) -> BerCurve:
-    """Run every configured Eb/N0 point, ordered ascending.
-
-    workers is passed to run_point and has no other effect.
+    """Run every configured Eb/N0 point, ordered ascending, each through
+    run_point.  workers is passed to run_point and has no other effect.
     """
     points = tuple(
         run_point(config, e, workers=workers) for e in sorted(config.ebn0_db)
@@ -283,3 +431,4 @@ def read_csv(source):
                 e, b, n, r = line.split(",")
                 points.append(BerPoint(float(e), int(b), int(n), float(r)))
     return config_str, seed, points
+

@@ -1,6 +1,7 @@
 """Sweep engine: configuration, accounting, determinism, CSV and CLI."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -218,7 +219,8 @@ class TestRunPoint:
         assert pt.bit_errors >= 30
         assert pt.bits_simulated % frame_bits == 0
         assert pt.bits_simulated < 50 * frame_bits
-        # no symbol of a frame past the stopping one runs, for any worker count
+        # _symbol_rng is rebound, so every frame runs in this process: no symbol
+        # of a frame past the stopping one runs, for any workers value
         symbol_rng = sim._symbol_rng
         for workers in (1, 4):
             calls = []
@@ -352,6 +354,126 @@ class TestRunPoint:
         cfg = small_config(scheme="sm-bpsk", n_tx=2, n_rx=4, ebn0_db=(6.0,))
         pt = run_point(cfg, 6.0)
         assert pt.bits_simulated == 3 * 4 * 32 * 2
+
+
+HAS_HELPERS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+               and len(os.sched_getaffinity(0)) >= 2)
+SRC = os.path.dirname(os.path.dirname(scckm.__file__))
+
+
+def run_script(body):
+    """Run body in a fresh interpreter that imports this checkout's scckm; its stdout."""
+    script = f"import sys\nsys.path.insert(0, {SRC!r})\n" + textwrap.dedent(body)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(not HAS_HELPERS, reason="helpers need fork and at least 2 CPUs")
+class TestHelpers:
+    # every scheme; 1, 3 and 7 frames, none a multiple of a wave of 2; and
+    # budgets met at the first and the third frame, inside a wave
+    COUNTS = """
+        import dataclasses, json, os
+        if {one_cpu}:
+            os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+        from scckm import sim
+        from scckm.ofdm import OfdmParams
+        points = []
+        for scheme, n_tx in (("scck2", 2), ("scck4", 4), ("scck8", 8), ("sm-bpsk", 4),
+                             ("sm-4qam", 2)):
+            cfg = sim.SimConfig(scheme=scheme, n_tx=n_tx, n_rx=n_tx, ebn0_db=(-6.0,),
+                                frames=7, seed=9, symbols_per_frame=2,
+                                ofdm=OfdmParams(n_sub=32, cp_len=4))
+            for frames in (1, 3, 7):
+                points.append(sim.run_point(dataclasses.replace(cfg, frames=frames), -6.0))
+            for budget in (1, points[-2].bit_errors):
+                points.append(sim.run_point(dataclasses.replace(cfg, max_bit_errors=budget),
+                                            -6.0))
+        print(json.dumps({{"helpers": len(sim._helpers), "points": points}}))
+    """
+
+    def test_counts_equal_one_cpu(self):
+        one = json.loads(run_script(self.COUNTS.format(one_cpu=True)))
+        every = json.loads(run_script(self.COUNTS.format(one_cpu=False)))
+        assert one["helpers"] == 0 and every["helpers"] == len(os.sched_getaffinity(0)) - 1
+        # the budgets stop after 1 and 3 frames of 2 symbols of 32 subcarriers
+        stops = [(bits // 64) // config_bits for (_, bits, _, _), config_bits in zip(
+            one["points"][3::5] + one["points"][4::5], [2, 4, 8, 3, 3] * 2)]
+        assert stops == [1] * 5 + [3] * 5
+        assert every["points"] == one["points"]
+
+    def test_killed_helper_and_forked_child(self):
+        out = run_script("""
+            import json, os, signal
+            from scckm import sim
+            from scckm.ofdm import OfdmParams
+            cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=4,
+                                seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
+            first = sim.run_point(cfg, 0.0)
+            killed = [h.pid for h in sim._helpers]
+            os.kill(killed[0], signal.SIGKILL)
+            assert sim.run_point(cfg, 0.0) == first
+            assert sim.run_point(cfg, 0.0) == first
+            parents = [h.pid for h in sim._helpers]
+            assert parents and not set(parents) & set(killed)
+            read, write = os.pipe()
+            child = os.fork()
+            if child == 0:
+                # a normal exit, so the child's own atexit hook runs too
+                os.close(read)
+                same = sim.run_point(cfg, 0.0) == first
+                os.write(write, json.dumps([same, [h.pid for h in sim._helpers]]).encode())
+                sys.exit(0)
+            os.close(write)
+            with open(read) as pipe:
+                same, own = json.load(pipe)
+            assert os.waitpid(child, 0)[1] == 0
+            assert same and not set(own) & set(parents)
+            # the child neither reaped the parent's helpers nor read their pipes
+            for pid in parents:
+                os.kill(pid, 0)
+            assert sim.run_point(cfg, 0.0) == first
+            assert [h.pid for h in sim._helpers] == parents
+            print("ok")
+        """)
+        assert out.split() == ["ok"]
+
+    def test_helpers_end_with_the_process(self):
+        out = run_script("""
+            from scckm import sim
+            from scckm.ofdm import OfdmParams
+            cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=4,
+                                seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
+            sim.run_point(cfg, 0.0)
+            print(*[h.pid for h in sim._helpers])
+        """)
+        pids = [int(pid) for pid in out.split()]
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_calls_on_other_threads_run_alone(self):
+        # one call at a time holds the helpers' pipes; more threads than CPUs
+        # and a short switch interval make an unguarded pipe mix counts up
+        cfg = small_config(frames=6, ebn0_db=(0.0,))
+        expected = run_point(cfg, 0.0)
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(run_point(cfg, 0.0)))
+                   for _ in range(2 * len(os.sched_getaffinity(0)) + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * len(threads)
 
 
 class TestSweep:
