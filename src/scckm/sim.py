@@ -5,9 +5,10 @@ counts and a master seed.  Every (frame, symbol) pair owns its own RNG
 substream derived from the master seed by counter-based spawning, so error
 counts depend only on the config.  A point's frames run in waves, one frame
 in the calling process and one in each helper process forked on the first
-call (one helper per CPU of the affinity mask past the first); counts are
-added in frame order and the early-stop check runs at frame boundaries, so
-the result is the same for any CPU count.
+call made with no other Python thread (one per CPU of the affinity mask past
+the first, at most _MAX_HELPERS); counts are added in frame order and the
+early-stop check runs at frame boundaries, so the result is the same for any
+CPU count.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import pickle
 import sys
 import threading
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -238,84 +240,101 @@ class _Helper(NamedTuple):
     counts: io.BufferedReader  # pickled bit-error counts back
 
 
-# the calling process's helpers and the pid that forked them: a process
-# forked from it inherits both, and must neither use nor reap those helpers.
-# One call at a time holds them; a call on another thread meanwhile runs alone
-_helpers: list = []
-_helpers_owner = 0
-_helpers_held = threading.Lock()
+# one helper per CPU past the first, up to this many: only 2-CPU hosts were
+# measured, and each helper adds a fork of the caller on its first call, one
+# frame thrown away past an early stop and its own set of OpenBLAS threads
+_MAX_HELPERS = 1
 
 
-def _fork_helper() -> _Helper:
-    job_read, job_write = os.pipe()
-    count_read, count_write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # the helper runs frames until its job pipe closes, and never returns
+class _Helpers:
+    """The calling process's helper processes.
+
+    start forks them on the process's first call made while it has one
+    Python thread, one per CPU of its affinity mask past the first (at most
+    _MAX_HELPERS), none without fork or an affinity mask.  owner is the pid
+    that forked them: a process forked from it inherits the list and must
+    neither use nor reap those helpers.  One call at a time holds lock; a
+    call on another thread meanwhile runs its frames alone.
+    """
+
+    def __init__(self):
+        self.running: list = []
+        self.owner = 0
+        self.lock = threading.Lock()
+
+    def start(self) -> list:
+        if self.owner != os.getpid():
+            self.stop()
+            # fork copies only the calling thread: a lock another Python
+            # thread holds would stay held in the helper forever
+            if threading.active_count() == 1:
+                self.owner = os.getpid()
+                if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+                    with contextlib.suppress(OSError):  # out of processes: run with fewer
+                        for _ in range(min(len(os.sched_getaffinity(0)) - 1, _MAX_HELPERS)):
+                            self._fork()
+        return self.running
+
+    def _fork(self) -> None:
+        job_read, job_write = os.pipe()
+        count_read, count_write = os.pipe()
         try:
-            os.close(job_write)
-            os.close(count_read)
-            for sibling in _helpers:
-                sibling.jobs.close()
-                sibling.counts.close()
-            with open(job_read, "rb") as jobs, open(count_write, "wb") as counts:
-                while True:
-                    config, n0, frame = pickle.load(jobs)
-                    pickle.dump(_frame_errors(config, n0, frame, *_stages(config)), counts)
-                    counts.flush()
-        finally:
-            os._exit(0)
-    os.close(job_read)
-    os.close(count_write)
-    return _Helper(pid, open(job_write, "wb"), open(count_read, "rb"))
+            # Python 3.12+ warns from os.fork in the parent, after the child
+            # exists, while other OS threads (OpenBLAS's) run; the warning is
+            # issued once the helper is recorded, so an error cannot lose it
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                pid = os.fork()
+        except BaseException:
+            for fd in (job_read, job_write, count_read, count_write):
+                os.close(fd)
+            raise
+        if pid == 0:
+            # the helper runs frames until its job pipe closes, and never returns
+            try:
+                os.close(job_write)
+                os.close(count_read)
+                for sibling in self.running:
+                    sibling.jobs.close()
+                    sibling.counts.close()
+                with open(job_read, "rb") as jobs, open(count_write, "wb") as counts:
+                    while True:
+                        config, n0, frame = pickle.load(jobs)
+                        pickle.dump(_frame_errors(config, n0, frame, *_stages(config)), counts)
+                        counts.flush()
+            finally:
+                os._exit(0)
+        os.close(job_read)
+        os.close(count_write)
+        self.running.append(_Helper(pid, open(job_write, "wb"), open(count_read, "rb")))
+        for warning in caught:
+            warnings.warn_explicit(warning.message, warning.category, warning.filename,
+                                   warning.lineno)
+
+    def stop(self) -> None:
+        """Close the pipes to the helpers, and kill and reap them if this
+        process forked them.  The next call forks fresh ones."""
+        if self.running and self.owner == os.getpid():
+            import signal  # not at import time: it would add to every import of scckm
+            for helper in self.running:
+                with contextlib.suppress(OSError):
+                    os.kill(helper.pid, signal.SIGKILL)
+                    os.waitpid(helper.pid, 0)
+        for helper in self.running:
+            for end in (helper.jobs, helper.counts):
+                with contextlib.suppress(OSError):  # a job the dead helper never read
+                    end.close()
+        self.running.clear()
+        self.owner = 0
 
 
-def _own_helpers() -> list:
-    """This process's helpers, forked on its first call: one per CPU of its
-    affinity mask past the first, none without fork or an affinity mask."""
-    global _helpers_owner
-    if _helpers_owner != os.getpid():
-        _stop_helpers()
-        _helpers_owner = os.getpid()
-        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-            with contextlib.suppress(OSError):  # out of processes: run with fewer
-                for _ in range(len(os.sched_getaffinity(0)) - 1):
-                    _helpers.append(_fork_helper())
-    return _helpers
+_helpers = _Helpers()
+atexit.register(_helpers.stop)
 
-
-def _stop_helpers() -> None:
-    """Close the pipes to the helpers, and kill and reap them if this process
-    forked them.  The next call forks fresh ones."""
-    global _helpers_owner
-    if _helpers and _helpers_owner == os.getpid():
-        import signal  # not at import time: it would add to every import of scckm
-        for helper in _helpers:
-            with contextlib.suppress(OSError):
-                os.kill(helper.pid, signal.SIGKILL)
-                os.waitpid(helper.pid, 0)
-    for helper in _helpers:
-        for end in (helper.jobs, helper.counts):
-            with contextlib.suppress(OSError):  # a job the dead helper never read
-                end.close()
-    _helpers.clear()
-    _helpers_owner = 0
-
-
-atexit.register(_stop_helpers)
-
-
-# the names a frame calls through this module, as bound at import: while any
-# is rebound (perfbench's tracer, tests), frames run in the calling process
-_IMPORT_TIME_STAGES = {name: globals()[name] for name in (
-    "_frame_errors", "_symbol_rng", "generate_channel", "scck_map", "sm_map",
-    "ofdm_modulate", "apply_channel", "ofdm_demodulate", "freq_response",
-    "gram_response", "zf_equalize_grid", "ml_detect_scck_grid",
-    "ml_detect_sm_equalized_grid")}
-
-
-def _stages_as_imported() -> bool:
-    return all(globals()[name] is fn for name, fn in _IMPORT_TIME_STAGES.items())
+# the module names a frame reads, as bound at import: while any is rebound
+# (perfbench's tracer, tests), frames run in the calling process
+_FRAME_NAMES = {name: globals()[name] for fn in (_frame_errors, _stages)
+                for name in (fn.__name__, *fn.__code__.co_names) if name in globals()}
 
 
 def _frame_counts(config: SimConfig, n0: float):
@@ -326,9 +345,10 @@ def _frame_counts(config: SimConfig, n0: float):
     any is yielded, so no count is left in a pipe when the caller stops.
     """
     stages = _stages(config)
-    held = _stages_as_imported() and _helpers_held.acquire(blocking=False)
+    as_imported = all(globals()[name] is fn for name, fn in _FRAME_NAMES.items())
+    held = as_imported and _helpers.lock.acquire(blocking=False)
     try:
-        helpers = _own_helpers() if held else []
+        helpers = _helpers.start() if held else []
         frame = 0
         while frame < config.frames:
             wave = range(frame, min(frame + 1 + len(helpers), config.frames))
@@ -341,18 +361,18 @@ def _frame_counts(config: SimConfig, n0: float):
                 counts += [pickle.load(helper.counts) for helper in busy]
             except (EOFError, BrokenPipeError):
                 # a helper died: this wave and the rest of the point run here
-                _stop_helpers()
+                _helpers.stop()
                 helpers = []
                 continue
             except BaseException:
                 # a helper may still be sending a count that no later call must read
-                _stop_helpers()
+                _helpers.stop()
                 raise
             yield from counts
             frame = wave.stop
     finally:
         if held:
-            _helpers_held.release()
+            _helpers.lock.release()
 
 
 def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
@@ -362,7 +382,9 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     docstring); they run here alone while any stage name of this module is
     rebound, as perfbench's tracer does.  The early stop comes at the same
     frame for any CPU count; at most one frame per helper past it is
-    computed and thrown away.  workers must be an integer >= 1 and has no
+    computed and thrown away.  A call waits for its helpers' counts without
+    a time limit: a stopped helper stalls it, a killed one makes it run the
+    rest of the point here.  workers must be an integer >= 1 and has no
     other effect.
     """
     require_count("worker count", workers)
@@ -431,4 +453,3 @@ def read_csv(source):
                 e, b, n, r = line.split(",")
                 points.append(BerPoint(float(e), int(b), int(n), float(r)))
     return config_str, seed, points
-

@@ -250,15 +250,20 @@ class TestRunPoint:
                         reason="the heap pad is set through glibc's mallopt")
     def test_symbols_do_not_refault_the_heap(self):
         # in a fresh interpreter: earlier tests leave free chunks in the heap
-        # that can hide the trimming this checks for
+        # that can hide the trimming this checks for.  The faults counted are
+        # this process's, so a rebound stage name keeps all 40 symbols of the
+        # measured call here; the helpers' are checked in TestHelpers
         src = os.path.dirname(os.path.dirname(scckm.__file__))
         script = textwrap.dedent(f"""
             import dataclasses, resource, sys
             sys.path.insert(0, {src!r})
+            from scckm import sim
             from scckm.sim import SimConfig, run_point
             cfg = SimConfig(scheme="scck8", n_tx=8, n_rx=16, ebn0_db=(8.0,),
                             frames=2, seed=1, symbols_per_frame=20)
             run_point(dataclasses.replace(cfg, frames=1, symbols_per_frame=1), 8.0)
+            frame_errors = sim._frame_errors
+            sim._frame_errors = lambda *args: frame_errors(*args)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             run_point(cfg, 8.0)
             print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)
@@ -391,13 +396,14 @@ class TestHelpers:
             for budget in (1, points[-2].bit_errors):
                 points.append(sim.run_point(dataclasses.replace(cfg, max_bit_errors=budget),
                                             -6.0))
-        print(json.dumps({{"helpers": len(sim._helpers), "points": points}}))
+        print(json.dumps({{"helpers": len(sim._helpers.running), "points": points}}))
     """
 
     def test_counts_equal_one_cpu(self):
         one = json.loads(run_script(self.COUNTS.format(one_cpu=True)))
         every = json.loads(run_script(self.COUNTS.format(one_cpu=False)))
-        assert one["helpers"] == 0 and every["helpers"] == len(os.sched_getaffinity(0)) - 1
+        assert one["helpers"] == 0
+        assert every["helpers"] == min(len(os.sched_getaffinity(0)) - 1, sim._MAX_HELPERS)
         # the budgets stop after 1 and 3 frames of 2 symbols of 32 subcarriers
         stops = [(bits // 64) // config_bits for (_, bits, _, _), config_bits in zip(
             one["points"][3::5] + one["points"][4::5], [2, 4, 8, 3, 3] * 2)]
@@ -412,11 +418,11 @@ class TestHelpers:
             cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=4,
                                 seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
             first = sim.run_point(cfg, 0.0)
-            killed = [h.pid for h in sim._helpers]
+            killed = [h.pid for h in sim._helpers.running]
             os.kill(killed[0], signal.SIGKILL)
             assert sim.run_point(cfg, 0.0) == first
             assert sim.run_point(cfg, 0.0) == first
-            parents = [h.pid for h in sim._helpers]
+            parents = [h.pid for h in sim._helpers.running]
             assert parents and not set(parents) & set(killed)
             read, write = os.pipe()
             child = os.fork()
@@ -424,7 +430,7 @@ class TestHelpers:
                 # a normal exit, so the child's own atexit hook runs too
                 os.close(read)
                 same = sim.run_point(cfg, 0.0) == first
-                os.write(write, json.dumps([same, [h.pid for h in sim._helpers]]).encode())
+                os.write(write, json.dumps([same, [h.pid for h in sim._helpers.running]]).encode())
                 sys.exit(0)
             os.close(write)
             with open(read) as pipe:
@@ -435,7 +441,7 @@ class TestHelpers:
             for pid in parents:
                 os.kill(pid, 0)
             assert sim.run_point(cfg, 0.0) == first
-            assert [h.pid for h in sim._helpers] == parents
+            assert [h.pid for h in sim._helpers.running] == parents
             print("ok")
         """)
         assert out.split() == ["ok"]
@@ -447,13 +453,137 @@ class TestHelpers:
             cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=4,
                                 seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
             sim.run_point(cfg, 0.0)
-            print(*[h.pid for h in sim._helpers])
+            print(*[h.pid for h in sim._helpers.running])
         """)
         pids = [int(pid) for pid in out.split()]
         assert pids
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the heap pad is set through glibc's mallopt")
+    def test_symbols_with_helpers_do_not_refault_the_heap(self):
+        # TestRunPoint's check, for the caller and a helper each running one
+        # frame of a call: after the first frame of each, which copies the
+        # pages it writes from the process it was forked from
+        out = run_script("""
+            from scckm import sim
+            cfg = sim.SimConfig(scheme="scck8", n_tx=8, n_rx=16, ebn0_db=(8.0,),
+                                frames=2, seed=1, symbols_per_frame=20)
+            sim.run_point(cfg, 8.0)
+
+            def minor_faults(pid):  # field 10 of stat, past the parenthesised name
+                with open(f"/proc/{pid}/stat") as stat:
+                    return int(stat.read().rsplit(")", 1)[1].split()[7])
+
+            [helper] = [h.pid for h in sim._helpers.running]
+            before = [minor_faults(pid) for pid in ("self", helper)]
+            sim.run_point(cfg, 8.0)
+            for pid, faults in zip(("self", helper), before):
+                print((minor_faults(pid) - faults) / cfg.symbols_per_frame)
+        """)
+        for who, per_symbol in zip(("caller", "helper"), map(float, out.split())):
+            assert per_symbol < 20, (
+                f"{per_symbol:.0f} minor page faults per OFDM symbol in the {who}")
+
+    def test_forks_only_as_the_one_thread(self):
+        # fork copies only the calling thread, so with a second Python thread
+        # alive the frames run here, and the first call after it ends forks
+        out = run_script("""
+            import threading
+            from scckm import sim
+            from scckm.ofdm import OfdmParams
+            cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=4,
+                                seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
+            release = threading.Event()
+            waiter = threading.Thread(target=release.wait)
+            waiter.start()
+            first = sim.run_point(cfg, 0.0)
+            alone = len(sim._helpers.running)
+            release.set()
+            waiter.join(timeout=60)
+            assert not waiter.is_alive()
+            assert sim.run_point(cfg, 0.0) == first
+            print(alone, len(sim._helpers.running))
+        """)
+        assert out.split() == ["0", "1"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="open files are read there")
+    def test_failed_fork_keeps_no_descriptor_and_no_child(self):
+        # a fork that fails closes both pipes; a warning from a fork that made
+        # its child (Python 3.12+ with OpenBLAS's threads), raised as an error,
+        # comes once the helper is recorded, so it is used and reaped
+        out = run_script("""
+            import errno, os, warnings
+            from scckm import sim
+            from scckm.ofdm import OfdmParams
+            cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=4,
+                                seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
+            fork = os.fork
+            opened = len(os.listdir("/proc/self/fd"))
+
+            def failed_fork():
+                raise OSError(errno.EAGAIN, "no process")
+
+            os.fork = failed_fork
+            first = sim.run_point(cfg, 0.0)
+            assert not sim._helpers.running
+            assert len(os.listdir("/proc/self/fd")) == opened
+
+            def warning_fork():
+                pid = fork()
+                if pid:
+                    warnings.warn("This process is multi-threaded, use of fork() may "
+                                  "lead to deadlocks in the child.", DeprecationWarning)
+                return pid
+
+            sim._helpers.stop()
+            os.fork = warning_fork
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                sim.run_point(cfg, 0.0)
+            except DeprecationWarning:
+                pass
+            else:
+                raise AssertionError("the fork's warning was lost")
+            [helper] = sim._helpers.running
+            assert len(os.listdir("/proc/self/fd")) == opened + 2
+            assert sim.run_point(cfg, 0.0) == first
+            print(helper.pid)
+        """)
+        pid = int(out)
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_each_rebound_stage_runs_every_frame_here(self):
+        # perfbench's tracer reads a stage's time in this process: rebinding
+        # any one stage name must keep every frame here
+        out = run_script(f"""
+            from scckm import sim
+            from scckm.ofdm import OfdmParams
+            ran = {{}}
+
+            def counted(name, fn):
+                def call(*args, **kwargs):
+                    ran[name] = ran.get(name, 0) + 1
+                    return fn(*args, **kwargs)
+                return call
+
+            for name in {TestRunPoint.STAGES!r}:
+                scheme, n_tx = ("sm-bpsk", 4) if "sm_" in name else ("scck2", 2)
+                cfg = sim.SimConfig(scheme=scheme, n_tx=n_tx, n_rx=n_tx, ebn0_db=(0.0,),
+                                    frames=4, seed=9, symbols_per_frame=2,
+                                    ofdm=OfdmParams(n_sub=32, cp_len=4))
+                expected = sim.run_point(cfg, 0.0)
+                assert sim._helpers.running
+                original = getattr(sim, name)
+                setattr(sim, name, counted(name, original))
+                assert sim.run_point(cfg, 0.0) == expected
+                setattr(sim, name, original)
+            print(sorted(set(ran.values())), len(ran))
+        """)
+        assert out.split("] ") == ["[8", f"{len(TestRunPoint.STAGES)}\n"]
 
     def test_calls_on_other_threads_run_alone(self):
         # one call at a time holds the helpers' pipes; more threads than CPUs
