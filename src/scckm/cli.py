@@ -32,7 +32,7 @@ SETTINGS = {
     "symbols_per_frame": (int, SimConfig.symbols_per_frame, "OFDM symbols per frame"),
     "max_bit_errors": (int, SimConfig.max_bit_errors,
                        "early-stop threshold per point (default off)"),
-    "workers": (int, 1, "an integer >= 1, no other effect: the CPU affinity sets the helpers"),
+    "workers": (int, 1, "an integer >= 1, no other effect: a second CPU runs every other frame"),
 }
 DEFAULTS = {name: default for name, (_, default, _) in SETTINGS.items()}
 

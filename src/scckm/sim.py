@@ -3,12 +3,12 @@
 One experiment is a SimConfig: a scheme, a MIMO size, an Eb/N0 list, frame
 counts and a master seed.  Every (frame, symbol) pair owns its own RNG
 substream derived from the master seed by counter-based spawning, so error
-counts depend only on the config.  A point's frames run in waves, one frame
-in the calling process and one in each helper process forked on the first
-call made with no other Python thread (one per CPU of the affinity mask past
-the first, at most _MAX_HELPERS); counts are added in frame order and the
+counts depend only on the config.  A point of two or more frames runs them
+in pairs, one frame in the calling process and the next in one helper
+process, forked on the first such call made with no other Python thread when
+the affinity mask has a second CPU; counts are added in frame order and the
 early-stop check runs at frame boundaries, so the result is the same for any
-CPU count.
+CPU count.  A one-frame point runs in the calling process and forks nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import atexit
 import contextlib
 import ctypes
-import io
 import math
 import os
 import pickle
@@ -232,48 +231,38 @@ def _frame_errors(config: SimConfig, n0: float, frame: int, map_bits, detect, ar
     return errors
 
 
-class _Helper(NamedTuple):
-    """A forked process that runs the frames it is sent, one at a time."""
+class _Helper:
+    """The calling process's one helper: a forked process that runs the
+    frames it is sent, one at a time.
 
-    pid: int
-    jobs: io.BufferedWriter  # pickled (config, n0, frame) to the helper
-    counts: io.BufferedReader  # pickled bit-error counts back
-
-
-# one helper per CPU past the first, up to this many: only 2-CPU hosts were
-# measured, and each helper adds a fork of the caller on its first call, one
-# frame thrown away past an early stop and its own set of OpenBLAS threads
-_MAX_HELPERS = 1
-
-
-class _Helpers:
-    """The calling process's helper processes.
-
-    start forks them on the process's first call made while it has one
-    Python thread, one per CPU of its affinity mask past the first (at most
-    _MAX_HELPERS), none without fork or an affinity mask.  owner is the pid
-    that forked them: a process forked from it inherits the list and must
-    neither use nor reap those helpers.  One call at a time holds lock; a
-    call on another thread meanwhile runs its frames alone.
+    start forks it on a call made while the process has one Python thread
+    and its affinity mask has a second CPU; there is none without fork or an
+    affinity mask.  owner is the pid that forked it: a process forked from
+    the owner inherits this object and must neither use nor reap its helper.
+    One call at a time holds lock; a call on another thread meanwhile runs
+    its frames alone.
     """
 
     def __init__(self):
-        self.running: list = []
+        self.pid = 0  # 0: no helper
+        # pickled (config, n0, frame) jobs out, pickled bit-error counts back
+        self.jobs = self.counts = None
         self.owner = 0
         self.lock = threading.Lock()
 
-    def start(self) -> list:
+    def start(self) -> bool:
+        """Whether this process has a helper, forking it on the first call."""
         if self.owner != os.getpid():
             self.stop()
             # fork copies only the calling thread: a lock another Python
             # thread holds would stay held in the helper forever
             if threading.active_count() == 1:
                 self.owner = os.getpid()
-                if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-                    with contextlib.suppress(OSError):  # out of processes: run with fewer
-                        for _ in range(min(len(os.sched_getaffinity(0)) - 1, _MAX_HELPERS)):
-                            self._fork()
-        return self.running
+                if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                        and len(os.sched_getaffinity(0)) > 1):
+                    with contextlib.suppress(OSError):  # out of processes: run alone
+                        self._fork()
+        return self.pid != 0
 
     def _fork(self) -> None:
         job_read, job_write = os.pipe()
@@ -294,9 +283,6 @@ class _Helpers:
             try:
                 os.close(job_write)
                 os.close(count_read)
-                for sibling in self.running:
-                    sibling.jobs.close()
-                    sibling.counts.close()
                 with open(job_read, "rb") as jobs, open(count_write, "wb") as counts:
                     while True:
                         config, n0, frame = pickle.load(jobs)
@@ -306,30 +292,28 @@ class _Helpers:
                 os._exit(0)
         os.close(job_read)
         os.close(count_write)
-        self.running.append(_Helper(pid, open(job_write, "wb"), open(count_read, "rb")))
+        self.pid, self.jobs, self.counts = pid, open(job_write, "wb"), open(count_read, "rb")
         for warning in caught:
             warnings.warn_explicit(warning.message, warning.category, warning.filename,
                                    warning.lineno)
 
     def stop(self) -> None:
-        """Close the pipes to the helpers, and kill and reap them if this
-        process forked them.  The next call forks fresh ones."""
-        if self.running and self.owner == os.getpid():
-            import signal  # not at import time: it would add to every import of scckm
-            for helper in self.running:
+        """Close the pipes to the helper, and kill and reap it if this process
+        forked it.  The next call forks a fresh one."""
+        if self.pid:
+            if self.owner == os.getpid():
+                import signal  # not at import time: it would add to every import of scckm
                 with contextlib.suppress(OSError):
-                    os.kill(helper.pid, signal.SIGKILL)
-                    os.waitpid(helper.pid, 0)
-        for helper in self.running:
-            for end in (helper.jobs, helper.counts):
+                    os.kill(self.pid, signal.SIGKILL)
+                    os.waitpid(self.pid, 0)
+            for end in (self.jobs, self.counts):
                 with contextlib.suppress(OSError):  # a job the dead helper never read
                     end.close()
-        self.running.clear()
-        self.owner = 0
+        self.pid = self.owner = 0
 
 
-_helpers = _Helpers()
-atexit.register(_helpers.stop)
+_helper = _Helper()
+atexit.register(_helper.stop)
 
 # the module names a frame reads, as bound at import: while any is rebound
 # (perfbench's tracer, tests), frames run in the calling process
@@ -340,52 +324,53 @@ _FRAME_NAMES = {name: globals()[name] for fn in (_frame_errors, _stages)
 def _frame_counts(config: SimConfig, n0: float):
     """Bit errors of each frame, in frame order.
 
-    Frames go out in waves: the caller runs the first frame of a wave and
-    each helper one of the others.  Every count of a wave is read before
-    any is yielded, so no count is left in a pipe when the caller stops.
+    With a helper, frames go out in pairs: the caller runs frame f and the
+    helper frame f + 1.  Both counts of a pair are read before either is
+    yielded, so no count is left in a pipe when the caller stops.  A
+    one-frame point has no second frame to give: it neither forks nor waits.
     """
     stages = _stages(config)
     as_imported = all(globals()[name] is fn for name, fn in _FRAME_NAMES.items())
-    held = as_imported and _helpers.lock.acquire(blocking=False)
+    held = config.frames > 1 and as_imported and _helper.lock.acquire(blocking=False)
     try:
-        helpers = _helpers.start() if held else []
+        paired = held and _helper.start()
         frame = 0
         while frame < config.frames:
-            wave = range(frame, min(frame + 1 + len(helpers), config.frames))
-            busy = helpers[:len(wave) - 1]
-            try:
-                for helper, later in zip(busy, wave[1:]):
-                    pickle.dump((config, n0, later), helper.jobs)
-                    helper.jobs.flush()
+            if not (paired and frame + 1 < config.frames):
                 counts = [_frame_errors(config, n0, frame, *stages)]
-                counts += [pickle.load(helper.counts) for helper in busy]
-            except (EOFError, BrokenPipeError):
-                # a helper died: this wave and the rest of the point run here
-                _helpers.stop()
-                helpers = []
-                continue
-            except BaseException:
-                # a helper may still be sending a count that no later call must read
-                _helpers.stop()
-                raise
+            else:
+                try:
+                    pickle.dump((config, n0, frame + 1), _helper.jobs)
+                    _helper.jobs.flush()
+                    counts = [_frame_errors(config, n0, frame, *stages),
+                              pickle.load(_helper.counts)]
+                except (EOFError, BrokenPipeError):
+                    # the helper died: this pair and the rest of the point run here
+                    _helper.stop()
+                    paired = False
+                    continue
+                except BaseException:
+                    # the helper may still be sending a count that no later call must read
+                    _helper.stop()
+                    raise
             yield from counts
-            frame = wave.stop
+            frame += len(counts)
     finally:
         if held:
-            _helpers.lock.release()
+            _helper.lock.release()
 
 
 def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     """Simulate one Eb/N0 point, early-stopping at max_bit_errors if set.
 
-    Frames run on the calling process and its helpers (see the module
+    Frames run on the calling process and its one helper (see the module
     docstring); they run here alone while any stage name of this module is
-    rebound, as perfbench's tracer does.  The early stop comes at the same
-    frame for any CPU count; at most one frame per helper past it is
-    computed and thrown away.  A call waits for its helpers' counts without
-    a time limit: a stopped helper stalls it, a killed one makes it run the
-    rest of the point here.  workers must be an integer >= 1 and has no
-    other effect.
+    rebound, as perfbench's tracer does, and a one-frame point forks
+    nothing.  The early stop comes at the same frame for any CPU count; at
+    most the helper's frame of the stopping pair is computed and thrown
+    away.  A call waits for the helper's count without a time limit: a
+    stopped helper stalls it, a killed one makes it run the rest of the
+    point here.  workers must be an integer >= 1 and has no other effect.
     """
     require_count("worker count", workers)
     n0 = noise_variance(config, ebn0_db)

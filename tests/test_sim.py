@@ -250,9 +250,11 @@ class TestRunPoint:
                         reason="the heap pad is set through glibc's mallopt")
     def test_symbols_do_not_refault_the_heap(self):
         # in a fresh interpreter: earlier tests leave free chunks in the heap
-        # that can hide the trimming this checks for.  The faults counted are
-        # this process's, so a rebound stage name keeps all 40 symbols of the
-        # measured call here; the helpers' are checked in TestHelpers
+        # that can hide the trimming this checks for.  The 2-frame warm-up
+        # forks the helper where there is a second CPU, so the measured call
+        # runs after the fork.  The faults counted are this process's, so a
+        # rebound stage name keeps all 40 symbols of the measured call here;
+        # the helper's are checked in TestHelpers
         src = os.path.dirname(os.path.dirname(scckm.__file__))
         script = textwrap.dedent(f"""
             import dataclasses, resource, sys
@@ -261,7 +263,7 @@ class TestRunPoint:
             from scckm.sim import SimConfig, run_point
             cfg = SimConfig(scheme="scck8", n_tx=8, n_rx=16, ebn0_db=(8.0,),
                             frames=2, seed=1, symbols_per_frame=20)
-            run_point(dataclasses.replace(cfg, frames=1, symbols_per_frame=1), 8.0)
+            run_point(dataclasses.replace(cfg, symbols_per_frame=1), 8.0)
             frame_errors = sim._frame_errors
             sim._frame_errors = lambda *args: frame_errors(*args)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -377,8 +379,8 @@ def run_script(body):
 
 @pytest.mark.skipif(not HAS_HELPERS, reason="helpers need fork and at least 2 CPUs")
 class TestHelpers:
-    # every scheme; 1, 3 and 7 frames, none a multiple of a wave of 2; and
-    # budgets met at the first and the third frame, inside a wave
+    # every scheme; 1, 3 and 7 frames, none a multiple of a pair; and budgets
+    # met at the first and the third frame, each the first frame of a pair
     COUNTS = """
         import dataclasses, json, os
         if {one_cpu}:
@@ -396,19 +398,58 @@ class TestHelpers:
             for budget in (1, points[-2].bit_errors):
                 points.append(sim.run_point(dataclasses.replace(cfg, max_bit_errors=budget),
                                             -6.0))
-        print(json.dumps({{"helpers": len(sim._helpers.running), "points": points}}))
+        print(json.dumps({{"helpers": int(sim._helper.pid != 0), "points": points}}))
     """
 
     def test_counts_equal_one_cpu(self):
         one = json.loads(run_script(self.COUNTS.format(one_cpu=True)))
         every = json.loads(run_script(self.COUNTS.format(one_cpu=False)))
         assert one["helpers"] == 0
-        assert every["helpers"] == min(len(os.sched_getaffinity(0)) - 1, sim._MAX_HELPERS)
+        assert every["helpers"] == 1
         # the budgets stop after 1 and 3 frames of 2 symbols of 32 subcarriers
         stops = [(bits // 64) // config_bits for (_, bits, _, _), config_bits in zip(
             one["points"][3::5] + one["points"][4::5], [2, 4, 8, 3, 3] * 2)]
         assert stops == [1] * 5 + [3] * 5
         assert every["points"] == one["points"]
+
+    def test_one_frame_point_forks_nothing(self):
+        # a one-frame point has no second frame to give a helper (perfbench's
+        # warm-up and set-up probe); the first 2-frame point forks exactly one
+        script = """
+            import dataclasses, os
+            if {one_cpu}:
+                os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+            from scckm import sim
+            from scckm.ofdm import OfdmParams
+            forks = []
+            fork = os.fork
+
+            def counted():
+                pid = fork()
+                if pid:
+                    forks.append(pid)
+                return pid
+
+            def children():  # -1: no child process; 0: children, none exited
+                try:
+                    return os.waitpid(-1, os.WNOHANG)[0]
+                except ChildProcessError:
+                    return -1
+
+            os.fork = counted
+            cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=1,
+                                seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
+            one = sim.run_point(cfg, 0.0)
+            print(len(forks), sim._helper.pid, children())
+            two = sim.run_point(dataclasses.replace(cfg, frames=2), 0.0)
+            print(len(forks), int(sim._helper.pid in forks), children())
+            print(one, two)
+        """
+        every = run_script(script.format(one_cpu=False)).splitlines()
+        pinned = run_script(script.format(one_cpu=True)).splitlines()
+        assert every[:2] == ["0 0 -1", "1 1 0"]
+        assert pinned[:2] == ["0 0 -1", "0 0 -1"]
+        assert every[2] == pinned[2]
 
     def test_killed_helper_and_forked_child(self):
         out = run_script("""
@@ -418,30 +459,29 @@ class TestHelpers:
             cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=4,
                                 seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
             first = sim.run_point(cfg, 0.0)
-            killed = [h.pid for h in sim._helpers.running]
-            os.kill(killed[0], signal.SIGKILL)
+            killed = sim._helper.pid
+            os.kill(killed, signal.SIGKILL)
             assert sim.run_point(cfg, 0.0) == first
             assert sim.run_point(cfg, 0.0) == first
-            parents = [h.pid for h in sim._helpers.running]
-            assert parents and not set(parents) & set(killed)
+            parent = sim._helper.pid
+            assert parent and parent != killed
             read, write = os.pipe()
             child = os.fork()
             if child == 0:
                 # a normal exit, so the child's own atexit hook runs too
                 os.close(read)
                 same = sim.run_point(cfg, 0.0) == first
-                os.write(write, json.dumps([same, [h.pid for h in sim._helpers.running]]).encode())
+                os.write(write, json.dumps([same, sim._helper.pid]).encode())
                 sys.exit(0)
             os.close(write)
             with open(read) as pipe:
                 same, own = json.load(pipe)
             assert os.waitpid(child, 0)[1] == 0
-            assert same and not set(own) & set(parents)
-            # the child neither reaped the parent's helpers nor read their pipes
-            for pid in parents:
-                os.kill(pid, 0)
+            assert same and own != parent
+            # the child neither reaped the parent's helper nor read its pipes
+            os.kill(parent, 0)
             assert sim.run_point(cfg, 0.0) == first
-            assert [h.pid for h in sim._helpers.running] == parents
+            assert sim._helper.pid == parent
             print("ok")
         """)
         assert out.split() == ["ok"]
@@ -453,13 +493,12 @@ class TestHelpers:
             cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=4,
                                 seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
             sim.run_point(cfg, 0.0)
-            print(*[h.pid for h in sim._helpers.running])
+            print(sim._helper.pid)
         """)
-        pids = [int(pid) for pid in out.split()]
-        assert pids
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        pid = int(out)
+        assert pid
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the heap pad is set through glibc's mallopt")
@@ -477,7 +516,8 @@ class TestHelpers:
                 with open(f"/proc/{pid}/stat") as stat:
                     return int(stat.read().rsplit(")", 1)[1].split()[7])
 
-            [helper] = [h.pid for h in sim._helpers.running]
+            helper = sim._helper.pid
+            assert helper
             before = [minor_faults(pid) for pid in ("self", helper)]
             sim.run_point(cfg, 8.0)
             for pid, faults in zip(("self", helper), before):
@@ -500,12 +540,12 @@ class TestHelpers:
             waiter = threading.Thread(target=release.wait)
             waiter.start()
             first = sim.run_point(cfg, 0.0)
-            alone = len(sim._helpers.running)
+            alone = int(sim._helper.pid != 0)
             release.set()
             waiter.join(timeout=60)
             assert not waiter.is_alive()
             assert sim.run_point(cfg, 0.0) == first
-            print(alone, len(sim._helpers.running))
+            print(alone, int(sim._helper.pid != 0))
         """)
         assert out.split() == ["0", "1"]
 
@@ -528,7 +568,7 @@ class TestHelpers:
 
             os.fork = failed_fork
             first = sim.run_point(cfg, 0.0)
-            assert not sim._helpers.running
+            assert not sim._helper.pid
             assert len(os.listdir("/proc/self/fd")) == opened
 
             def warning_fork():
@@ -538,7 +578,7 @@ class TestHelpers:
                                   "lead to deadlocks in the child.", DeprecationWarning)
                 return pid
 
-            sim._helpers.stop()
+            sim._helper.stop()
             os.fork = warning_fork
             warnings.simplefilter("error", DeprecationWarning)
             try:
@@ -547,10 +587,11 @@ class TestHelpers:
                 pass
             else:
                 raise AssertionError("the fork's warning was lost")
-            [helper] = sim._helpers.running
+            helper = sim._helper.pid
+            assert helper
             assert len(os.listdir("/proc/self/fd")) == opened + 2
             assert sim.run_point(cfg, 0.0) == first
-            print(helper.pid)
+            print(helper)
         """)
         pid = int(out)
         with pytest.raises(ProcessLookupError):
@@ -576,7 +617,7 @@ class TestHelpers:
                                     frames=4, seed=9, symbols_per_frame=2,
                                     ofdm=OfdmParams(n_sub=32, cp_len=4))
                 expected = sim.run_point(cfg, 0.0)
-                assert sim._helpers.running
+                assert sim._helper.pid
                 original = getattr(sim, name)
                 setattr(sim, name, counted(name, original))
                 assert sim.run_point(cfg, 0.0) == expected
@@ -586,7 +627,7 @@ class TestHelpers:
         assert out.split("] ") == ["[8", f"{len(TestRunPoint.STAGES)}\n"]
 
     def test_calls_on_other_threads_run_alone(self):
-        # one call at a time holds the helpers' pipes; more threads than CPUs
+        # one call at a time holds the helper's pipes; more threads than CPUs
         # and a short switch interval make an unguarded pipe mix counts up
         cfg = small_config(frames=6, ebn0_db=(0.0,))
         expected = run_point(cfg, 0.0)
