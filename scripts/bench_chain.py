@@ -10,10 +10,7 @@ this checkout's ``src/`` is copied, into sibling directories of one temporary
 directory with names of one length, so that neither side runs from this
 checkout.  Both trees are then imported into this one interpreter, as the
 packages ``scckm_before`` and ``scckm_after``.  Every config of the matrix
-below runs at seed 1 and one Eb/N0, after one 2-frame warm-up call per
-side, so that a side which forks a helper process for a point of two or
-more frames has forked it, and both processes have copied the pages they
-write, before the first config's timed pairs.  Then it runs two ways:
+below runs at seed 1 and one Eb/N0, two ways:
 
 * untraced: ``PAIRS`` pairs of ``PAIR_FRAMES``-frame ``run_point`` calls,
   one per side, alternating which side goes first.  Each side gets the
@@ -145,8 +142,8 @@ def measure(packages: dict, scheme, n_tx, n_rx, frames) -> dict:
         seed=SEED, symbols_per_frame=SYMBOLS_PER_FRAME) for side in SIDES}
     short = {side: dataclasses.replace(c, frames=PAIR_FRAMES) for side, c in configs.items()}
     for side in SIDES:
-        # two frames: a one-frame point runs without the helper and forks none
-        packages[side].sim.run_point(dataclasses.replace(configs[side], frames=2), EBN0_DB)
+        packages[side].sim.run_point(
+            dataclasses.replace(configs[side], frames=1, symbols_per_frame=1), EBN0_DB)
     runs = {side: [] for side in SIDES}
     for pair in range(PAIRS):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:

@@ -3,12 +3,11 @@
 One experiment is a SimConfig: a scheme, a MIMO size, an Eb/N0 list, frame
 counts and a master seed.  Every (frame, symbol) pair owns its own RNG
 substream derived from the master seed by counter-based spawning, so error
-counts depend only on the config.  A point of two or more frames runs them
-in pairs, one frame in the calling process and the next in one helper
-process, forked on the first such call made with no other Python thread when
-the affinity mask has a second CPU; counts are added in frame order and the
-early-stop check runs at frame boundaries, so the result is the same for any
-CPU count.  A one-frame point runs in the calling process and forks nothing.
+counts depend only on the config.  A point's frames run in pairs, one frame
+in the calling process and the next in one helper process, forked on the
+first call made with no other Python thread when the affinity mask has a
+second CPU; counts are added in frame order and the early-stop check runs at
+frame boundaries, so the result is the same for any CPU count.
 """
 
 from __future__ import annotations
@@ -326,12 +325,11 @@ def _frame_counts(config: SimConfig, n0: float):
 
     With a helper, frames go out in pairs: the caller runs frame f and the
     helper frame f + 1.  Both counts of a pair are read before either is
-    yielded, so no count is left in a pipe when the caller stops.  A
-    one-frame point has no second frame to give: it neither forks nor waits.
+    yielded, so no count is left in a pipe when the caller stops.
     """
     stages = _stages(config)
     as_imported = all(globals()[name] is fn for name, fn in _FRAME_NAMES.items())
-    held = config.frames > 1 and as_imported and _helper.lock.acquire(blocking=False)
+    held = as_imported and _helper.lock.acquire(blocking=False)
     try:
         paired = held and _helper.start()
         frame = 0
@@ -365,12 +363,12 @@ def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
 
     Frames run on the calling process and its one helper (see the module
     docstring); they run here alone while any stage name of this module is
-    rebound, as perfbench's tracer does, and a one-frame point forks
-    nothing.  The early stop comes at the same frame for any CPU count; at
-    most the helper's frame of the stopping pair is computed and thrown
-    away.  A call waits for the helper's count without a time limit: a
-    stopped helper stalls it, a killed one makes it run the rest of the
-    point here.  workers must be an integer >= 1 and has no other effect.
+    rebound, as perfbench's tracer does.  The early stop comes at the same
+    frame for any CPU count; at most the helper's frame of the stopping pair
+    is computed and thrown away.  A call waits for the helper's count
+    without a time limit: a stopped helper stalls it, a killed one makes it
+    run the rest of the point here.  workers must be an integer >= 1 and has
+    no other effect.
     """
     require_count("worker count", workers)
     n0 = noise_variance(config, ebn0_db)

@@ -250,11 +250,12 @@ class TestRunPoint:
                         reason="the heap pad is set through glibc's mallopt")
     def test_symbols_do_not_refault_the_heap(self):
         # in a fresh interpreter: earlier tests leave free chunks in the heap
-        # that can hide the trimming this checks for.  The 2-frame warm-up
-        # forks the helper where there is a second CPU, so the measured call
-        # runs after the fork.  The faults counted are this process's, so a
-        # rebound stage name keeps all 40 symbols of the measured call here;
-        # the helper's are checked in TestHelpers
+        # that can hide the trimming this checks for.  The warm-up forks the
+        # helper where there is a second CPU, and its 2 symbols make the
+        # caller copy the pages it shares with the helper, so the measured
+        # call counts refaults, not the fork's copies.  The faults counted
+        # are this process's, so a rebound stage name keeps all 40 symbols of
+        # the measured call here; the helper's are checked in TestHelpers
         src = os.path.dirname(os.path.dirname(scckm.__file__))
         script = textwrap.dedent(f"""
             import dataclasses, resource, sys
@@ -263,7 +264,7 @@ class TestRunPoint:
             from scckm.sim import SimConfig, run_point
             cfg = SimConfig(scheme="scck8", n_tx=8, n_rx=16, ebn0_db=(8.0,),
                             frames=2, seed=1, symbols_per_frame=20)
-            run_point(dataclasses.replace(cfg, symbols_per_frame=1), 8.0)
+            run_point(dataclasses.replace(cfg, frames=1, symbols_per_frame=2), 8.0)
             frame_errors = sim._frame_errors
             sim._frame_errors = lambda *args: frame_errors(*args)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -412,45 +413,6 @@ class TestHelpers:
         assert stops == [1] * 5 + [3] * 5
         assert every["points"] == one["points"]
 
-    def test_one_frame_point_forks_nothing(self):
-        # a one-frame point has no second frame to give a helper (perfbench's
-        # warm-up and set-up probe); the first 2-frame point forks exactly one
-        script = """
-            import dataclasses, os
-            if {one_cpu}:
-                os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
-            from scckm import sim
-            from scckm.ofdm import OfdmParams
-            forks = []
-            fork = os.fork
-
-            def counted():
-                pid = fork()
-                if pid:
-                    forks.append(pid)
-                return pid
-
-            def children():  # -1: no child process; 0: children, none exited
-                try:
-                    return os.waitpid(-1, os.WNOHANG)[0]
-                except ChildProcessError:
-                    return -1
-
-            os.fork = counted
-            cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=1,
-                                seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
-            one = sim.run_point(cfg, 0.0)
-            print(len(forks), sim._helper.pid, children())
-            two = sim.run_point(dataclasses.replace(cfg, frames=2), 0.0)
-            print(len(forks), int(sim._helper.pid in forks), children())
-            print(one, two)
-        """
-        every = run_script(script.format(one_cpu=False)).splitlines()
-        pinned = run_script(script.format(one_cpu=True)).splitlines()
-        assert every[:2] == ["0 0 -1", "1 1 0"]
-        assert pinned[:2] == ["0 0 -1", "0 0 -1"]
-        assert every[2] == pinned[2]
-
     def test_killed_helper_and_forked_child(self):
         out = run_script("""
             import json, os, signal
@@ -482,6 +444,46 @@ class TestHelpers:
             os.kill(parent, 0)
             assert sim.run_point(cfg, 0.0) == first
             assert sim._helper.pid == parent
+            print("ok")
+        """)
+        assert out.split() == ["ok"]
+
+    def test_a_raise_stops_the_helper_only_with_a_job_out(self):
+        # of 3 frames the caller runs frame 0 with frame 1 out to the helper,
+        # then frame 2 alone; the substream is patched after the fork, so
+        # only the caller's frame raises
+        out = run_script("""
+            import os
+            import numpy as np
+            from scckm import sim
+            from scckm.ofdm import OfdmParams
+            cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=3,
+                                seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
+            first = sim.run_point(cfg, 0.0)
+            seed_sequence = np.random.SeedSequence
+
+            def raising(frame):
+                def substream(seed, spawn_key):
+                    if spawn_key[0] == frame:
+                        raise KeyboardInterrupt
+                    return seed_sequence(seed, spawn_key=spawn_key)
+                return substream
+
+            for frame, kept in ((2, True), (0, False)):
+                helper = sim._helper.pid
+                assert helper
+                np.random.SeedSequence = raising(frame)
+                try:
+                    sim.run_point(cfg, 0.0)
+                except KeyboardInterrupt:
+                    pass
+                else:
+                    raise AssertionError(f"frame {frame} did not raise")
+                np.random.SeedSequence = seed_sequence
+                assert (sim._helper.pid == helper) == kept, frame
+                if kept:
+                    os.kill(helper, 0)
+                assert sim.run_point(cfg, 0.0) == first
             print("ok")
         """)
         assert out.split() == ["ok"]
