@@ -6,8 +6,11 @@ substream derived from the master seed by counter-based spawning, so error
 counts depend only on the config.  A point's frames run in pairs, one frame
 in the calling process and the next in one helper process, forked on the
 first call made with no other Python thread when the affinity mask has a
-second CPU; counts are added in frame order and the early-stop check runs at
-frame boundaries, so the result is the same for any CPU count.
+second CPU.  The caller and the helper make the same call,
+_frame_errors(config, n0, frame), for frames f and f + 1.  Both counts of a
+pair are read before either is added, so no count is left in a pipe when a
+point stops; counts are added in frame order and the early-stop check runs
+at frame boundaries, so the result is the same for any CPU count.
 """
 
 from __future__ import annotations
@@ -199,20 +202,18 @@ def _symbol_rng(seed: int, frame: int, symbol: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(frame, symbol)))
 
 
-def _stages(config: SimConfig) -> tuple:
-    """(map_bits, detect, args) of the config's scheme.
+def _frame_errors(config: SimConfig, n0: float, frame: int) -> int:
+    """Bit errors of one frame, each symbol drawn from its own substream.
 
-    The names are read from scckm.sim at each call: perfbench's tracer swaps
-    them around run_point.
+    The stage names are read from scckm.sim at each call: perfbench's tracer
+    swaps them around run_point.
     """
     scheme = SCHEMES[config.scheme]
     if scheme.codebook is not None:
-        return scck_map, ml_detect_scck_grid, (scheme.codebook(),)
-    return sm_map, ml_detect_sm_equalized_grid, (config.n_tx, scheme.constellation)
-
-
-def _frame_errors(config: SimConfig, n0: float, frame: int, map_bits, detect, args) -> int:
-    """Bit errors of one frame, each symbol drawn from its own substream."""
+        map_bits, detect, args = scck_map, ml_detect_scck_grid, (scheme.codebook(),)
+    else:
+        map_bits, detect = sm_map, ml_detect_sm_equalized_grid
+        args = (config.n_tx, scheme.constellation)
     params = config.ofdm
     m = config.bits_per_subcarrier
     errors = 0
@@ -284,8 +285,7 @@ class _Helper:
                 os.close(count_read)
                 with open(job_read, "rb") as jobs, open(count_write, "wb") as counts:
                     while True:
-                        config, n0, frame = pickle.load(jobs)
-                        pickle.dump(_frame_errors(config, n0, frame, *_stages(config)), counts)
+                        pickle.dump(_frame_errors(*pickle.load(jobs)), counts)
                         counts.flush()
             finally:
                 os._exit(0)
@@ -316,18 +316,13 @@ atexit.register(_helper.stop)
 
 # the module names a frame reads, as bound at import: while any is rebound
 # (perfbench's tracer, tests), frames run in the calling process
-_FRAME_NAMES = {name: globals()[name] for fn in (_frame_errors, _stages)
-                for name in (fn.__name__, *fn.__code__.co_names) if name in globals()}
+_FRAME_NAMES = {name: fn for name, fn in globals().items()
+                if name == "_frame_errors" or name in _frame_errors.__code__.co_names}
 
 
 def _frame_counts(config: SimConfig, n0: float):
-    """Bit errors of each frame, in frame order.
-
-    With a helper, frames go out in pairs: the caller runs frame f and the
-    helper frame f + 1.  Both counts of a pair are read before either is
-    yielded, so no count is left in a pipe when the caller stops.
-    """
-    stages = _stages(config)
+    """Bit errors of each frame, in frame order, paired as the module
+    docstring says."""
     as_imported = all(globals()[name] is fn for name, fn in _FRAME_NAMES.items())
     held = as_imported and _helper.lock.acquire(blocking=False)
     try:
@@ -335,12 +330,12 @@ def _frame_counts(config: SimConfig, n0: float):
         frame = 0
         while frame < config.frames:
             if not (paired and frame + 1 < config.frames):
-                counts = [_frame_errors(config, n0, frame, *stages)]
+                counts = [_frame_errors(config, n0, frame)]
             else:
                 try:
                     pickle.dump((config, n0, frame + 1), _helper.jobs)
                     _helper.jobs.flush()
-                    counts = [_frame_errors(config, n0, frame, *stages),
+                    counts = [_frame_errors(config, n0, frame),
                               pickle.load(_helper.counts)]
                 except (EOFError, BrokenPipeError):
                     # the helper died: this pair and the rest of the point run here

@@ -186,6 +186,18 @@ class TestNoiseVariance:
         assert type(noise_variance(cfg, np.float32(10.0))) is float
 
 
+SRC = os.path.dirname(os.path.dirname(scckm.__file__))
+
+
+def run_script(body):
+    """Run body in a fresh interpreter that imports this checkout's scckm; its stdout."""
+    script = f"import sys\nsys.path.insert(0, {SRC!r})\n" + textwrap.dedent(body)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestRunPoint:
     def test_bit_accounting(self):
         cfg = small_config()
@@ -256,10 +268,8 @@ class TestRunPoint:
         # call counts refaults, not the fork's copies.  The faults counted
         # are this process's, so a rebound stage name keeps all 40 symbols of
         # the measured call here; the helper's are checked in TestHelpers
-        src = os.path.dirname(os.path.dirname(scckm.__file__))
-        script = textwrap.dedent(f"""
-            import dataclasses, resource, sys
-            sys.path.insert(0, {src!r})
+        out = run_script("""
+            import dataclasses, resource
             from scckm import sim
             from scckm.sim import SimConfig, run_point
             cfg = SimConfig(scheme="scck8", n_tx=8, n_rx=16, ebn0_db=(8.0,),
@@ -271,10 +281,7 @@ class TestRunPoint:
             run_point(cfg, 8.0)
             print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)
         """)
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        per_symbol = float(done.stdout)
+        per_symbol = float(out)
         assert per_symbol < 20, f"{per_symbol:.0f} minor page faults per OFDM symbol"
 
     # the names perfbench's tracer swaps in scckm.sim (its PROGRAM_STAGES), and the Gram
@@ -340,11 +347,8 @@ class TestRunPoint:
 
     def test_runs_with_numpy_alone(self):
         # scipy is a test dependency only; the simulator must not import it
-        src = os.path.dirname(os.path.dirname(scckm.__file__))
-        script = textwrap.dedent(f"""
-            import sys
+        out = run_script("""
             sys.modules["scipy"] = None
-            sys.path.insert(0, {src!r})
             from scckm.ofdm import OfdmParams
             from scckm.sim import SimConfig, run_point
             for scheme, n_tx in (("scck2", 2), ("sm-bpsk", 2)):
@@ -353,10 +357,7 @@ class TestRunPoint:
                                 ofdm=OfdmParams(n_sub=32, cp_len=4))
                 print(run_point(cfg, 4.0).bits_simulated)
         """)
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["64", "64"]
+        assert out.split() == ["64", "64"]
 
     def test_sm_scheme_runs(self):
         cfg = small_config(scheme="sm-bpsk", n_tx=2, n_rx=4, ebn0_db=(6.0,))
@@ -366,16 +367,6 @@ class TestRunPoint:
 
 HAS_HELPERS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
                and len(os.sched_getaffinity(0)) >= 2)
-SRC = os.path.dirname(os.path.dirname(scckm.__file__))
-
-
-def run_script(body):
-    """Run body in a fresh interpreter that imports this checkout's scckm; its stdout."""
-    script = f"import sys\nsys.path.insert(0, {SRC!r})\n" + textwrap.dedent(body)
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 @pytest.mark.skipif(not HAS_HELPERS, reason="helpers need fork and at least 2 CPUs")
