@@ -28,12 +28,13 @@ _QUARTER_UNITS = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 _GROUP_QUARTER_PHASE = np.array([[0, 2], [1, 3]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """An ordered codeword set: entries has one row of chips per codeword.
 
     Row i encodes the bit pattern whose natural-binary value is i (first
     written bit = most significant), so the row count is a power of two.
+    Codebooks compare and hash by identity, not by their chips.
     """
 
     entries: np.ndarray = field(repr=False)

@@ -10,9 +10,10 @@ of every subcarrier in one batch through their Cholesky factors; when the
 batched factorization fails or any subcarrier's Gram matrix is
 ill-conditioned, the whole symbol goes through the pseudo-inverse instead.
 Detection is one exhaustive minimum squared Euclidean distance search over
-the table rows, the same blocked GEMM for both schemes, with ties resolved to
-the lowest row: the lowest codeword index, or the lowest antenna and then the
-lowest point label.
+the table rows, the same blocked GEMM for both schemes: every table's rows
+have one energy, so the closest row is the one with the highest Re(z c^H).
+Ties resolve to the lowest row: the lowest codeword index, or the lowest
+antenna and then the lowest point label.
 """
 
 from __future__ import annotations
@@ -156,38 +157,31 @@ def zf_equalize_grid(received: np.ndarray, hk: np.ndarray,
     return equalized.T
 
 
-def _closest_rows(equalized: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Index of the closest table row to each row of an (n_sub, n_tx) grid.
+def _ml_search(equalized: np.ndarray, table: np.ndarray) -> Detection:
+    """The closest table row to each row of an (n_sub, n_tx) grid, and its bits.
 
-    ||z - c||^2 = ||z||^2 - score with score = 2 Re(z c^H) - ||c||^2, so the
-    closest row scores highest: one real GEMM over the interleaved real and
-    imaginary parts, run in blocks of rows small enough for one thread
-    (_ONE_THREAD_GEMM) that share one score buffer.  argmax takes the first
-    maximum, so ties resolve to the lowest row index.
+    ||z - c||^2 = ||z||^2 - 2 Re(z c^H) + ||c||^2, and every table's rows have
+    one energy, so the closest row is the one with the highest Re(z c^H): one
+    real GEMM over the interleaved real and imaginary parts, run in blocks of
+    rows small enough for one thread (_ONE_THREAD_GEMM) that share one score
+    buffer.  argmax takes the first maximum, so ties resolve to the lowest
+    row.  A table whose rows differ in energy needs the -||c||^2 term back.
     """
     z = np.ascontiguousarray(equalized, dtype=np.complex128)
     if z.ndim != 2 or z.shape[1] != table.shape[1]:
         raise ValueError(
             f"equalized grid must be (n_sub, {table.shape[1]}), got {z.shape}")
-    # Re(z c^H) as a dot product of the float64 views, doubled exactly
-    twice = 2.0 * table.view(np.float64)
-    energy = np.sum(np.abs(table) ** 2, axis=1)
-    rows = z.view(np.float64)
+    rows, chips = z.view(np.float64), table.view(np.float64)
     indices = np.empty(len(z), dtype=np.intp)
-    block_rows = max(1, _ONE_THREAD_GEMM // twice.size)
+    block_rows = max(1, _ONE_THREAD_GEMM // chips.size)
     score = np.empty((min(len(z), block_rows), len(table)))
     for start in range(0, len(z), block_rows):
         part = slice(start, start + block_rows)
-        block = np.matmul(rows[part], twice.T, out=score[:len(rows[part])])
-        block -= energy
-        indices[part] = np.argmax(block, axis=1)
-    return indices
-
-
-def _ml_search(equalized: np.ndarray, table: np.ndarray) -> Detection:
-    # unpack only once _closest_rows has freed its score matrix: unpacking
-    # while it lived made scck8 8x16 about 3% slower end to end
-    indices = _closest_rows(equalized, table)
+        indices[part] = np.argmax(np.matmul(rows[part], chips.T, out=score[:len(rows[part])]),
+                                  axis=1)
+    # unpack only once the score buffer is freed: unpacking while it lived
+    # made scck8 8x16 about 3% slower end to end
+    del score
     return Detection(indices=indices, bits=unpack_bits(indices, len(table).bit_length() - 1))
 
 

@@ -279,10 +279,14 @@ class _Helper:
                 os.close(fd)
             raise
         if pid == 0:
-            # the helper runs frames until its job pipe closes, and never returns
+            # the helper keeps only its two pipes, so no descriptor of the
+            # caller's outlives its close there; it runs frames until its job
+            # pipe closes, and never returns
             try:
-                os.close(job_write)
-                os.close(count_read)
+                low, high = sorted((job_read, count_write))
+                os.closerange(3, low)
+                os.closerange(low + 1, high)
+                os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
                 with open(job_read, "rb") as jobs, open(count_write, "wb") as counts:
                     while True:
                         pickle.dump(_frame_errors(*pickle.load(jobs)), counts)

@@ -63,6 +63,12 @@ class TestCodebook:
         chips[0, 0] = 0
         assert np.array_equal(cb.entries, [[1, 1], [1, -1]])
 
+    def test_equality_is_identity(self):
+        cb = cck8_codebook()
+        assert cb == cb
+        assert cb != cck8_codebook()
+        assert {cb} == {cb}
+
 
 class TestCck2:
     def test_table(self):

@@ -6,7 +6,7 @@ import pytest
 from scckm.cck import (cck2_codebook, cck4_reference_codebook, cck8_codebook, pack_bits,
                        unpack_bits)
 from scckm.channel import freq_response, generate_channel, gram_response
-from scckm.modem import (BPSK, QAM4, _closest_rows, ml_detect_scck_grid,
+from scckm.modem import (BPSK, QAM4, _ml_search, ml_detect_scck_grid,
                          ml_detect_sm_equalized_grid, scck_map, sm_map, sm_table, zf_equalize,
                          zf_equalize_grid)
 from scckm.ofdm import OfdmParams
@@ -268,17 +268,29 @@ class TestSmDetection:
             ml_detect_sm_equalized_grid(np.zeros((1, 2), dtype=complex), 2, "8psk")
 
 
+def _sm_rows(n_tx, points):
+    """SM's table built by hand: point l on antenna a in row a * len(points) + l."""
+    rows = np.zeros((n_tx, len(points), n_tx), dtype=complex)
+    rows[np.arange(n_tx), :, np.arange(n_tx)] = points
+    return rows.reshape(-1, n_tx)
+
+
+def _scck_case(cb):
+    return cb.entries / np.sqrt(cb.length_n), lambda z: ml_detect_scck_grid(z, cb)
+
+
 @pytest.mark.parametrize("n_sub", [1, 63, 64, 65, 200])
 def test_blocked_search_matches_brute_force(n_sub):
-    # sizes below, at and across the detection block, with a partial last block
+    # sizes below, at and across scck8's detection block, with a partial last
+    # block; the other tables fit in one block
     rng = np.random.default_rng(n_sub)
-    cb = cck8_codebook()
-    points = np.zeros((8, 2, 8), dtype=complex)
-    points[np.arange(8), :, np.arange(8)] = BPSK
-    for table, detect in ((cb.entries / np.sqrt(8), lambda z: ml_detect_scck_grid(z, cb)),
-                          (points.reshape(16, 8),
-                           lambda z: ml_detect_sm_equalized_grid(z, 8, "bpsk"))):
-        noise = rng.normal(size=(n_sub, 8)) + 1j * rng.normal(size=(n_sub, 8))
+    cases = (_scck_case(cck8_codebook()),
+             (_sm_rows(8, BPSK), lambda z: ml_detect_sm_equalized_grid(z, 8, "bpsk")),
+             _scck_case(cck2_codebook()), _scck_case(cck4_reference_codebook()),
+             (_sm_rows(4, QAM4), lambda z: ml_detect_sm_equalized_grid(z, 4, "4qam")))
+    for table, detect in cases:
+        n_tx = table.shape[1]
+        noise = rng.normal(size=(n_sub, n_tx)) + 1j * rng.normal(size=(n_sub, n_tx))
         z = table[rng.integers(0, len(table), size=n_sub)] + 0.4 * noise
         # every table row has unit energy, so the origin ties them all: row 0
         z[3::7] = 0
@@ -287,7 +299,7 @@ def test_blocked_search_matches_brute_force(n_sub):
         def chosen(indices):
             return np.sum(np.abs(z - table[indices]) ** 2, axis=1)
 
-        indices = _closest_rows(z, table)
+        indices = _ml_search(z, table).indices
         assert np.array_equal(indices, expected)
         assert np.max(np.abs(chosen(indices) - d2.min(axis=1))) < 1e-9
         det = detect(z)

@@ -133,7 +133,10 @@ class TestSchemeTable:
         table = sim.SCHEMES[name].table(n_tx)
         m = small_config(scheme=name, n_tx=n_tx, n_rx=n_tx).bits_per_subcarrier
         assert table.shape == (2 ** m, n_tx)
-        np.testing.assert_allclose(np.sum(np.abs(table) ** 2, axis=1), 1.0, atol=1e-12)
+        energies = np.sum(np.abs(table) ** 2, axis=1)
+        np.testing.assert_allclose(energies, 1.0, atol=1e-12)
+        # detection scores Re(z c^H) alone, which needs rows of exactly one energy
+        assert np.all(energies == energies[0])
 
     @pytest.mark.parametrize("name,n_tx", SCHEME_SIZES)
     def test_map_sends_the_table_rows_in_order(self, name, n_tx):
@@ -589,6 +592,33 @@ class TestHelpers:
         pid = int(out)
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="open files are read there")
+    def test_helper_holds_no_inherited_descriptor(self):
+        # a pipe opened before the fork reaches EOF once the caller closes its
+        # write end, and the helper holds only stdio and its own two pipes
+        out = run_script("""
+            import os, select
+            from scckm import sim
+            from scckm.ofdm import OfdmParams
+            cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=2,
+                                seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
+            read, write = os.pipe()
+            sim.run_point(cfg, 0.0)
+            helper = sim._helper.pid
+            assert helper
+            os.close(write)
+            ready = select.select([read], [], [], 5)[0]
+            os.kill(helper, 0)
+            assert ready and os.read(read, 1) == b"", "the helper holds the write end"
+            held = sorted(map(int, os.listdir(f"/proc/{helper}/fd")))
+            pipes = {os.readlink(f"/proc/{helper}/fd/{fd}") for fd in held[3:]}
+            own = {os.readlink(f"/proc/self/fd/{end.fileno()}")
+                   for end in (sim._helper.jobs, sim._helper.counts)}
+            assert held[:3] == [0, 1, 2] and len(held) == 5 and pipes == own, (held, pipes, own)
+            print("ok")
+        """)
+        assert out.split() == ["ok"]
 
     def test_each_rebound_stage_runs_every_frame_here(self):
         # perfbench's tracer reads a stage's time in this process: rebinding
