@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .cck import require_count
+from .modem import _one_thread_matmul
 from .ofdm import OfdmParams
 
 
@@ -65,7 +66,7 @@ def apply_channel(tx_samples: np.ndarray, taps: np.ndarray,
     t = tx_samples.shape[1]
     out = np.zeros((n_rx, t + p - 1), dtype=np.complex128)
     for i in range(p):
-        out[:, i:i + t] += taps[:, :, i] @ tx_samples
+        out[:, i:i + t] += _one_thread_matmul(taps[:, :, i], tx_samples)
     if noise_variance > 0:
         if rng is None:
             raise ValueError("noise requires an rng")
@@ -83,11 +84,9 @@ def _twiddles(params: OfdmParams, p: int) -> np.ndarray:
     read-only.  Requires p <= cp_len + 1 so the cyclic prefix absorbs the
     delay spread.
 
-    A product with w runs as one real GEMM on interleaved real and imaginary
-    columns.  The complex GEMM of the frequency response (256 x 2 x 128 at
-    8x16) is past OpenBLAS's threading threshold; its helper threads then spun
-    through the rest of the symbol, 1.8 ms of CPU per scck8 8x16 symbol on the
-    second core
+    A product with w runs as one real product on interleaved real and
+    imaginary columns: the complex product was about 25% slower at 8x16
+    (frequency response 232 against 186 us, Gram 157 against 123 us).
     """
     if p > params.cp_len + 1:
         raise ValueError(
@@ -111,7 +110,7 @@ def freq_response(taps: np.ndarray, params: OfdmParams) -> np.ndarray:
     x = np.empty((2 * p, n_rx * n_tx), dtype=np.complex128)
     x[:p] = np.reshape(taps, (-1, p)).T
     x[p:] = 1j * x[:p]
-    h = twiddles @ x.view(np.float64)
+    h = _one_thread_matmul(twiddles, x.view(np.float64))
     return h.view(np.complex128).reshape(params.n_sub, n_rx, n_tx)
 
 
@@ -130,10 +129,10 @@ def gram_response(taps: np.ndarray, params: OfdmParams) -> np.ndarray:
     twiddles = _twiddles(params, p)
     # blocks[i, :, j, :] = T_i^H T_j
     stacked = np.swapaxes(taps, 1, 2).reshape(n_rx, p * n_tx)
-    blocks = (stacked.conj().T @ stacked).reshape(p, n_tx, p, n_tx)
+    blocks = _one_thread_matmul(stacked.conj().T, stacked).reshape(p, n_tx, p, n_tx)
     lags = np.stack([np.diagonal(blocks, d, 0, 2).sum(axis=-1) for d in range(p)])
     lags[0] /= 2
     lags_h = np.conj(np.swapaxes(lags, 1, 2))
     x = np.concatenate([lags + lags_h, 1j * (lags - lags_h)]).reshape(2 * p, -1)
-    g = twiddles @ x.view(np.float64)
+    g = _one_thread_matmul(twiddles, x.view(np.float64))
     return g.view(np.complex128).reshape(params.n_sub, n_tx, n_tx)

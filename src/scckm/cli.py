@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from decimal import Decimal
 
 from .ofdm import OfdmParams
 from .sim import SCHEMES, SimConfig, emit_csv, run_sweep
@@ -53,7 +54,8 @@ def parse_ebn0(text: str) -> tuple:
         if not steps < 10_000:
             raise ValueError(f"ebn0 range {text!r} has {steps:.3g} steps, not under 10000")
         count = int(round(steps)) + 1
-        values = [start + i * step for i in range(max(count, 0))]
+        # start + i*step in decimal, so 0:0.1:0.3 ends in 0.3, not 0.30000000000000004
+        values = [float(Decimal(parts[0]) + i * Decimal(parts[1])) for i in range(max(count, 0))]
         values = [v for v in values if v <= stop + 1e-9]
         if not values:
             raise ValueError(f"empty ebn0 range {text!r}")

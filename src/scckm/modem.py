@@ -34,13 +34,6 @@ CONSTELLATIONS = {"bpsk": BPSK, "4qam": QAM4}
 
 ZF_RCOND = 1e-10
 
-# the largest real GEMM, in M*N*K multiply-adds, that OpenBLAS runs on the
-# calling thread alone (4 x 65536 in its default build).  Detection searches in blocks of rows that stay within
-# it: scck8 8x16 in 64-row blocks (64 x 16 x 256), where one 256-row GEMM woke
-# helper threads every call and wrote a fresh 512 KB score every symbol; the
-# smaller tables in one block
-_ONE_THREAD_GEMM = 4 * 65536
-
 
 class Detection(NamedTuple):
     """Per subcarrier: the detected table row, and its bits (m, n_sub), first row MSB."""
@@ -157,31 +150,51 @@ def zf_equalize_grid(received: np.ndarray, hk: np.ndarray,
     return equalized.T
 
 
+def _one_thread_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-d a and b, computed in equal row blocks of a that OpenBLAS
+    runs on the calling thread.
+
+    Every 2-d matrix product of the chain comes here, so that no product past
+    OpenBLAS's threading size starts its worker thread again in both the
+    caller and its forked helper process, which then spin against each other
+    on two CPUs: one 256-row scck8 8x16 detection product made the median
+    perfbench-like pass 0.85-1.05 s against 0.22-0.26 s, and the whole per-tap
+    product of apply_channel made scck8 8x32 2-19x slower per symbol.
+    Measured with OpenBLAS 0.3.31 on 2 CPUs, one product in a freshly forked
+    child: a real product stayed on one thread at M*N*K = 524,288 and
+    threaded at 1,048,576; a complex one threaded from 65,536 multiply-adds,
+    not at 65,280; a one-row complex product runs as GEMV and threaded from
+    K*N = 4,096.  So a block holds at most 262,144 (4 x 65,536) real
+    multiply-adds or fewer than 65,536 complex ones, and at least two rows
+    when a has two or more.  Row blocks give the bits of the full product.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    rows = max(2, (65535 if a.dtype.kind == "c" or b.dtype.kind == "c" else 262144) // (k * n))
+    # whole: the buffer and the loop cost about 2 us a call, 4% of scck2 2x4
+    if m <= rows:
+        return a @ b
+    blocks = min(-(-m // rows), m // 2)
+    out = np.empty((m, n), np.result_type(a, b))
+    for i in range(blocks):
+        part = slice(i * m // blocks, (i + 1) * m // blocks)
+        np.matmul(a[part], b, out=out[part])
+    return out
+
+
 def _ml_search(equalized: np.ndarray, table: np.ndarray) -> Detection:
     """The closest table row to each row of an (n_sub, n_tx) grid, and its bits.
 
     ||z - c||^2 = ||z||^2 - 2 Re(z c^H) + ||c||^2, and every table's rows have
     one energy, so the closest row is the one with the highest Re(z c^H): one
-    real GEMM over the interleaved real and imaginary parts, run in blocks of
-    rows small enough for one thread (_ONE_THREAD_GEMM) that share one score
-    buffer.  argmax takes the first maximum, so ties resolve to the lowest
-    row.  A table whose rows differ in energy needs the -||c||^2 term back.
+    real product over the interleaved real and imaginary parts.  argmax takes
+    the first maximum, so ties resolve to the lowest row.  A table whose rows
+    differ in energy needs the -||c||^2 term back.
     """
     z = np.ascontiguousarray(equalized, dtype=np.complex128)
     if z.ndim != 2 or z.shape[1] != table.shape[1]:
         raise ValueError(
             f"equalized grid must be (n_sub, {table.shape[1]}), got {z.shape}")
-    rows, chips = z.view(np.float64), table.view(np.float64)
-    indices = np.empty(len(z), dtype=np.intp)
-    block_rows = max(1, _ONE_THREAD_GEMM // chips.size)
-    score = np.empty((min(len(z), block_rows), len(table)))
-    for start in range(0, len(z), block_rows):
-        part = slice(start, start + block_rows)
-        indices[part] = np.argmax(np.matmul(rows[part], chips.T, out=score[:len(rows[part])]),
-                                  axis=1)
-    # unpack only once the score buffer is freed: unpacking while it lived
-    # made scck8 8x16 about 3% slower end to end
-    del score
+    indices = np.argmax(_one_thread_matmul(z.view(np.float64), table.view(np.float64).T), axis=1)
     return Detection(indices=indices, bits=unpack_bits(indices, len(table).bit_length() - 1))
 
 

@@ -6,7 +6,7 @@ import pytest
 from scckm.cck import (cck2_codebook, cck4_reference_codebook, cck8_codebook, pack_bits,
                        unpack_bits)
 from scckm.channel import freq_response, generate_channel, gram_response
-from scckm.modem import (BPSK, QAM4, _ml_search, ml_detect_scck_grid,
+from scckm.modem import (BPSK, QAM4, _ml_search, _one_thread_matmul, ml_detect_scck_grid,
                          ml_detect_sm_equalized_grid, scck_map, sm_map, sm_table, zf_equalize,
                          zf_equalize_grid)
 from scckm.ofdm import OfdmParams
@@ -306,6 +306,40 @@ def test_blocked_search_matches_brute_force(n_sub):
         assert np.array_equal(det.indices, expected)
         assert np.array_equal(det.bits, unpack_bits(expected, len(table).bit_length() - 1))
         assert np.max(np.abs(chosen(det.indices) - d2.min(axis=1))) < 1e-9
+
+
+class _Recorded(np.ndarray):
+    """An array whose products record the row count of their left operand."""
+
+    rows: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Recorded.rows.append(len(inputs[0]))
+        return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+
+# (m, k, n), and the block count for real and for complex operands: one block;
+# scck8 8x16's detection product and several; 65 rows, with no one-row tail;
+# and products whose budget allows one row, where blocks keep two rows
+@pytest.mark.parametrize("shape, real_blocks, complex_blocks", [
+    ((8, 8, 272), 1, 1),
+    ((256, 16, 256), 4, 18),
+    ((65, 16, 256), 2, 5),
+    ((5, 300, 1000), 2, 2),
+])
+def test_one_thread_matmul_is_the_full_product(shape, real_blocks, complex_blocks):
+    m, k, n = shape
+    rng = np.random.default_rng(m)
+    for blocks, dtype in ((real_blocks, np.float64), (complex_blocks, np.complex128)):
+        a, b = (rng.normal(size=size).astype(dtype) for size in ((m, k), (k, n)))
+        if dtype == np.complex128:
+            a.imag, b.imag = rng.normal(size=a.shape), rng.normal(size=b.shape)
+        _Recorded.rows = []
+        product = _one_thread_matmul(a.view(_Recorded), b)
+        assert type(product) is np.ndarray and np.array_equal(product, a @ b)
+        rows = _Recorded.rows
+        assert len(rows) == blocks and sum(rows) == m, rows
+        assert max(rows) - min(rows) <= 1 and min(rows) >= 2, rows
 
 
 class TestLoopback:

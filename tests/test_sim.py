@@ -620,6 +620,35 @@ class TestHelpers:
         """)
         assert out.split() == ["ok"]
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="threads are read in /proc")
+    def test_points_start_no_blas_thread(self):
+        # the fork leaves the caller and the helper one OS thread each; at
+        # scck8 8x32 the per-tap product of apply_channel, done whole, is past
+        # OpenBLAS's threading size and starts its worker again in both
+        out = run_script("""
+            import json, os
+            from scckm import sim
+            from scckm.ofdm import OfdmParams
+
+            def threads(pid):
+                return len(os.listdir(f"/proc/{pid}/task"))
+
+            warm = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=2,
+                                 seed=9, symbols_per_frame=1, ofdm=OfdmParams(n_sub=32, cp_len=4))
+            sim.run_point(warm, 0.0)
+            helper = sim._helper.pid
+            assert helper
+            counts = [[threads(pid) for pid in ("self", helper)]]
+            cfg = sim.SimConfig(scheme="scck8", n_tx=8, n_rx=32, ebn0_db=(0.0,), frames=2,
+                                seed=1, symbols_per_frame=2)
+            sim.run_point(cfg, 0.0)
+            assert sim._helper.pid == helper
+            counts.append([threads(pid) for pid in ("self", helper)])
+            print(json.dumps(counts))
+        """)
+        warmed, after = json.loads(out)
+        assert after == warmed, f"OS threads of the caller and the helper: {warmed} -> {after}"
+
     def test_each_rebound_stage_runs_every_frame_here(self):
         # perfbench's tracer reads a stage's time in this process: rebinding
         # any one stage name must keep every frame here
@@ -728,6 +757,8 @@ class TestParseEbn0:
     def test_fractional_step(self):
         vals = parse_ebn0("0:2.5:5")
         assert vals == (0.0, 2.5, 5.0)
+        # the values the text names, not 0.30000000000000004
+        assert parse_ebn0("0:0.1:0.3") == (0.0, 0.1, 0.2, 0.3)
 
     def test_comma_list_with_inf(self):
         assert parse_ebn0("1,3.5,inf") == (1.0, 3.5, float("inf"))
