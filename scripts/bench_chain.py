@@ -30,7 +30,7 @@ show here; perfbench's end-to-end pairs measure it.  The JSON also holds the
 machine facts of ``perfbench/run.py``, the number of CPUs this process may
 run on and the line count of each side's ``src/scckm``.  The script writes
 the JSON and prints one row per config, then exits 1 if any config's error
-counts differ between the two sides.
+counts differ between the two sides or its traced run makes no bit error.
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ CONFIGS = (
 )
 SIDES = ("before", "after")
 SEED = 1
-# every config but scck8-8x32, which decodes every bit, makes bit errors at
-# 0 dB, so equal counts check the chain's decisions; the work per symbol does
-# not depend on Eb/N0
-EBN0_DB = 0.0
+# every config makes bit errors at -6 dB in its traced frames at seed 1 (at
+# 0 dB scck8-8x32 decodes every bit), so equal counts check the chain's
+# decisions; the work per symbol does not depend on Eb/N0
+EBN0_DB = -6.0
 SYMBOLS_PER_FRAME = 20
 # about 70 pairs put the standard error of the pair-ratio median near 1% in a
 # null test of two copies of one tree; 2-frame runs keep the two calls of a
@@ -222,8 +222,10 @@ def main(argv=None) -> int:
               f"pair ratio {cell(ratio['median'], ratio['quartiles'])}, "
               f"calling-process faults/symbol {before['faults_per_symbol']:.0f} -> "
               f"{after['faults_per_symbol']:.0f}, "
-              f"counts equal: {row['counts_equal']}")
-    return 0 if all(row["counts_equal"] for row in report["configs"].values()) else 1
+              f"counts equal: {row['counts_equal']}, bit errors: {after['counts'][1]}")
+    # a config without bit errors would pass "counts equal" whatever it decodes
+    return 0 if all(row["counts_equal"] and row["after"]["counts"][1]
+                    for row in report["configs"].values()) else 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ second CPU.  The caller and the helper make the same call,
 _frame_errors(config, n0, frame), for frames f and f + 1.  Both counts of a
 pair are read before either is added, so no count is left in a pipe when a
 point stops; counts are added in frame order and the early-stop check runs
-at frame boundaries, so the result is the same for any CPU count.
+at frame boundaries, so the result is the same for any CPU count and at
+most the helper's frame of the stopping pair is computed and thrown away.
+Every frame runs in the caller while a name a frame reads from this module
+is rebound, as perfbench's tracer does.
 """
 
 from __future__ import annotations
@@ -318,69 +321,50 @@ class _Helper:
 _helper = _Helper()
 atexit.register(_helper.stop)
 
-# the module names a frame reads, as bound at import: while any is rebound
-# (perfbench's tracer, tests), frames run in the calling process
+# the module names a frame reads, as bound at import
 _FRAME_NAMES = {name: fn for name, fn in globals().items()
                 if name == "_frame_errors" or name in _frame_errors.__code__.co_names}
-
-
-def _frame_counts(config: SimConfig, n0: float):
-    """Bit errors of each frame, in frame order, paired as the module
-    docstring says."""
-    as_imported = all(globals()[name] is fn for name, fn in _FRAME_NAMES.items())
-    held = as_imported and _helper.lock.acquire(blocking=False)
-    try:
-        paired = held and _helper.start()
-        frame = 0
-        while frame < config.frames:
-            if not (paired and frame + 1 < config.frames):
-                counts = [_frame_errors(config, n0, frame)]
-            else:
-                try:
-                    pickle.dump((config, n0, frame + 1), _helper.jobs)
-                    _helper.jobs.flush()
-                    counts = [_frame_errors(config, n0, frame),
-                              pickle.load(_helper.counts)]
-                except (EOFError, BrokenPipeError):
-                    # the helper died: this pair and the rest of the point run here
-                    _helper.stop()
-                    paired = False
-                    continue
-                except BaseException:
-                    # the helper may still be sending a count that no later call must read
-                    _helper.stop()
-                    raise
-            yield from counts
-            frame += len(counts)
-    finally:
-        if held:
-            _helper.lock.release()
 
 
 def run_point(config: SimConfig, ebn0_db: float, workers: int = 1) -> BerPoint:
     """Simulate one Eb/N0 point, early-stopping at max_bit_errors if set.
 
-    Frames run on the calling process and its one helper (see the module
-    docstring); they run here alone while any stage name of this module is
-    rebound, as perfbench's tracer does.  The early stop comes at the same
-    frame for any CPU count; at most the helper's frame of the stopping pair
-    is computed and thrown away.  A call waits for the helper's count
-    without a time limit: a stopped helper stalls it, a killed one makes it
-    run the rest of the point here.  workers must be an integer >= 1 and has
-    no other effect.
+    A call waits for the helper's count without a time limit: a stopped
+    helper stalls it, a killed one makes it run the rest of the point here.
+    workers must be an integer >= 1 and has no other effect.
     """
     require_count("worker count", workers)
     n0 = noise_variance(config, ebn0_db)
-    limit = config.max_bit_errors
-    errors = 0
-    frames_run = 0
-    for frame_errors in _frame_counts(config, n0):
-        errors += frame_errors
-        frames_run += 1
-        if limit is not None and errors >= limit:
-            break
-    frame_bits = config.symbols_per_frame * config.ofdm.n_sub * config.bits_per_subcarrier
-    simulated = frames_run * frame_bits
+    budget = math.inf if config.max_bit_errors is None else config.max_bit_errors
+    as_imported = all(globals()[name] is fn for name, fn in _FRAME_NAMES.items())
+    held = as_imported and _helper.lock.acquire(blocking=False)
+    try:
+        paired = held and _helper.start()
+        frame = errors = 0
+        while frame < config.frames and errors < budget:
+            if paired and frame + 1 < config.frames:
+                try:
+                    pickle.dump((config, n0, frame + 1), _helper.jobs)
+                    _helper.jobs.flush()
+                    counts = [_frame_errors(config, n0, frame), pickle.load(_helper.counts)]
+                except BaseException as error:
+                    # the helper may still be sending a count that no later call must read
+                    _helper.stop()
+                    if not isinstance(error, (EOFError, BrokenPipeError)):
+                        raise
+                    paired = False  # the helper died: this pair and the rest run here
+                    continue
+            else:
+                counts = [_frame_errors(config, n0, frame)]
+            for count in counts:
+                if errors >= budget:
+                    break
+                errors += count
+                frame += 1
+    finally:
+        if held:
+            _helper.lock.release()
+    simulated = frame * config.symbols_per_frame * config.ofdm.n_sub * config.bits_per_subcarrier
     return BerPoint(ebn0_db=float(ebn0_db), bits_simulated=simulated,
                     bit_errors=errors, ber=errors / simulated)
 

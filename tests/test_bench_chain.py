@@ -52,7 +52,8 @@ def test_measure_pairs_and_traces_each_side(bench_chain, trees, monkeypatch):
     monkeypatch.setattr(bench_chain, "PAIR_FRAMES", 1)
     packages = {side: package for side, (_, package) in trees.items()}
     row = bench_chain.measure(packages, "scck2", 2, 4, 2)
-    assert row["counts_equal"] and row["before"]["counts"][0] == 2 * 20 * 256 * 2
+    # 2 frames of 20 symbols of 256 subcarriers, with bit errors at -6 dB
+    assert row["counts_equal"] and row["before"]["counts"] == [2 * 20 * 256 * 2, 3656]
     assert set(row["pair_ratio"]) == {"median", "quartiles"}
     for side in bench_chain.SIDES:
         # the tracer wrapped that side's stage calls, not the test process's scckm

@@ -375,7 +375,8 @@ HAS_HELPERS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 @pytest.mark.skipif(not HAS_HELPERS, reason="helpers need fork and at least 2 CPUs")
 class TestHelpers:
     # every scheme; 1, 3 and 7 frames, none a multiple of a pair; and budgets
-    # met at the first and the third frame, each the first frame of a pair
+    # met at the first and the third frame, each the first frame of a pair;
+    # "locked" counts the points after which the helper's lock stayed held
     COUNTS = """
         import dataclasses, json, os
         if {one_cpu}:
@@ -383,17 +384,24 @@ class TestHelpers:
         from scckm import sim
         from scckm.ofdm import OfdmParams
         points = []
+        locked = 0
+
+        def run(cfg):
+            global locked
+            points.append(sim.run_point(cfg, -6.0))
+            locked += sim._helper.lock.locked()
+
         for scheme, n_tx in (("scck2", 2), ("scck4", 4), ("scck8", 8), ("sm-bpsk", 4),
                              ("sm-4qam", 2)):
             cfg = sim.SimConfig(scheme=scheme, n_tx=n_tx, n_rx=n_tx, ebn0_db=(-6.0,),
                                 frames=7, seed=9, symbols_per_frame=2,
                                 ofdm=OfdmParams(n_sub=32, cp_len=4))
             for frames in (1, 3, 7):
-                points.append(sim.run_point(dataclasses.replace(cfg, frames=frames), -6.0))
+                run(dataclasses.replace(cfg, frames=frames))
             for budget in (1, points[-2].bit_errors):
-                points.append(sim.run_point(dataclasses.replace(cfg, max_bit_errors=budget),
-                                            -6.0))
-        print(json.dumps({{"helpers": int(sim._helper.pid != 0), "points": points}}))
+                run(dataclasses.replace(cfg, max_bit_errors=budget))
+        print(json.dumps({{"helpers": int(sim._helper.pid != 0), "locked": locked,
+                           "points": points}}))
     """
 
     def test_counts_equal_one_cpu(self):
@@ -401,6 +409,7 @@ class TestHelpers:
         every = json.loads(run_script(self.COUNTS.format(one_cpu=False)))
         assert one["helpers"] == 0
         assert every["helpers"] == 1
+        assert one["locked"] == every["locked"] == 0
         # the budgets stop after 1 and 3 frames of 2 symbols of 32 subcarriers
         stops = [(bits // 64) // config_bits for (_, bits, _, _), config_bits in zip(
             one["points"][3::5] + one["points"][4::5], [2, 4, 8, 3, 3] * 2)]
@@ -474,6 +483,7 @@ class TestHelpers:
                 else:
                     raise AssertionError(f"frame {frame} did not raise")
                 np.random.SeedSequence = seed_sequence
+                assert not sim._helper.lock.locked(), frame
                 assert (sim._helper.pid == helper) == kept, frame
                 if kept:
                     os.kill(helper, 0)
@@ -481,6 +491,54 @@ class TestHelpers:
             print("ok")
         """)
         assert out.split() == ["ok"]
+
+    def test_a_helper_dead_with_a_job_out_leaves_the_frame_its_error(self):
+        # the helper inherits a substream that raises on frame 1, so it exits
+        # with that job out and the caller reads EOF: the caller then runs the
+        # pair itself and raises the frame's own error
+        out = run_script("""
+            import os
+            import numpy as np
+            from scckm import sim
+            from scckm.ofdm import OfdmParams
+            cfg = sim.SimConfig(scheme="scck2", n_tx=2, n_rx=2, ebn0_db=(0.0,), frames=2,
+                                seed=9, symbols_per_frame=4, ofdm=OfdmParams(n_sub=32, cp_len=4))
+            fork, seed_sequence = os.fork, np.random.SeedSequence
+            helpers = []
+
+            def recorded_fork():
+                pid = fork()
+                if pid:
+                    helpers.append(pid)
+                return pid
+
+            def substream(seed, spawn_key):
+                if spawn_key[0] == 1:
+                    raise LookupError("frame 1")
+                return seed_sequence(seed, spawn_key=spawn_key)
+
+            os.fork, np.random.SeedSequence = recorded_fork, substream
+            try:
+                sim.run_point(cfg, 0.0)
+            except LookupError as error:
+                assert str(error) == "frame 1", error
+            else:
+                raise AssertionError("frame 1 did not raise")
+            np.random.SeedSequence = seed_sequence
+            assert len(helpers) == 1 and sim._helper.pid == 0
+            assert not sim._helper.lock.locked()
+            try:
+                os.kill(helpers[0], 0)
+            except ProcessLookupError:
+                pass
+            else:
+                raise AssertionError("the dead helper was not reaped")
+            point = sim.run_point(cfg, 0.0)
+            assert len(helpers) == 2 and sim._helper.pid == helpers[1]
+            print(point.bits_simulated, point.bit_errors)
+        """)
+        # TestRunPoint.test_pinned_counts' scck2 point
+        assert out.split() == ["512", "111"]
 
     def test_helpers_end_with_the_process(self):
         out = run_script("""
