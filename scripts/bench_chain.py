@@ -58,9 +58,10 @@ from run import machine_facts  # noqa: E402
 # (name, scheme, n_tx, n_rx, frames): the config matrix of ROADMAP aim 1.  The
 # traced run of each config simulates its fixed frame count, about 1 s
 # untraced at the ms/symbol of BENCH_10.json (2 vCPUs, OpenBLAS), and for
-# scck8-8x32 at its 1.5 ms/symbol with every product on one thread.  scck8-8x32
-# is past OpenBLAS's threading size in its per-tap channel product, so a
-# product that leaves the one-thread rule shows in its pair ratio
+# scck8-8x32 at its 1.5 ms/symbol with every product on one thread.  Both
+# sides share this interpreter's BLAS threads, so no pair ratio shows how a
+# product threads; scck8-8x32, the one config whose per-tap channel product
+# is past OpenBLAS's threading size, is here for its counts
 CONFIGS = (
     ("scck2-2x4", "scck2", 2, 4, 62),
     ("scck4-4x8", "scck4", 4, 8, 46),

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .cck import require_count
-from .modem import _one_thread_matmul
 from .ofdm import OfdmParams
 
 
@@ -66,7 +65,7 @@ def apply_channel(tx_samples: np.ndarray, taps: np.ndarray,
     t = tx_samples.shape[1]
     out = np.zeros((n_rx, t + p - 1), dtype=np.complex128)
     for i in range(p):
-        out[:, i:i + t] += _one_thread_matmul(taps[:, :, i], tx_samples)
+        out[:, i:i + t] += taps[:, :, i] @ tx_samples
     if noise_variance > 0:
         if rng is None:
             raise ValueError("noise requires an rng")
@@ -110,7 +109,7 @@ def freq_response(taps: np.ndarray, params: OfdmParams) -> np.ndarray:
     x = np.empty((2 * p, n_rx * n_tx), dtype=np.complex128)
     x[:p] = np.reshape(taps, (-1, p)).T
     x[p:] = 1j * x[:p]
-    h = _one_thread_matmul(twiddles, x.view(np.float64))
+    h = twiddles @ x.view(np.float64)
     return h.view(np.complex128).reshape(params.n_sub, n_rx, n_tx)
 
 
@@ -129,10 +128,10 @@ def gram_response(taps: np.ndarray, params: OfdmParams) -> np.ndarray:
     twiddles = _twiddles(params, p)
     # blocks[i, :, j, :] = T_i^H T_j
     stacked = np.swapaxes(taps, 1, 2).reshape(n_rx, p * n_tx)
-    blocks = _one_thread_matmul(stacked.conj().T, stacked).reshape(p, n_tx, p, n_tx)
+    blocks = (stacked.conj().T @ stacked).reshape(p, n_tx, p, n_tx)
     lags = np.stack([np.diagonal(blocks, d, 0, 2).sum(axis=-1) for d in range(p)])
     lags[0] /= 2
     lags_h = np.conj(np.swapaxes(lags, 1, 2))
     x = np.concatenate([lags + lags_h, 1j * (lags - lags_h)]).reshape(2 * p, -1)
-    g = _one_thread_matmul(twiddles, x.view(np.float64))
+    g = twiddles @ x.view(np.float64)
     return g.view(np.complex128).reshape(params.n_sub, n_tx, n_tx)

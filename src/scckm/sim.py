@@ -67,7 +67,32 @@ def _keep_heap_top_pad() -> None:
     mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
 
 
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS this process loaded to one thread.
+
+    The caller and its forked helper each compute on one CPU.  A product
+    past OpenBLAS's threading size would start its worker thread in both,
+    and the four threads spin against each other on two CPUs: scck8 8x32
+    ran 2-19x slower per symbol, and an sm-bpsk 64x64 point's stacked ZF
+    products took both processes from 1 to 2 OS threads.  numpy 2.x wheels
+    export scipy_openblas_set_num_threads64_, a system OpenBLAS
+    openblas_set_num_threads.  Like the heap pad the setting is
+    process-wide; with another BLAS, or without /proc, nothing changes.
+    """
+    with contextlib.suppress(OSError):  # no /proc, or a library that does not load
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[5].strip() for line in maps if "openblas" in line}
+        for path in paths:
+            library = ctypes.CDLL(path)
+            for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+                setter = getattr(library, name, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = (ctypes.c_int,), None
+                    setter(1)
+
+
 _keep_heap_top_pad()
+_one_blas_thread()
 
 
 class Scheme(NamedTuple):

@@ -680,9 +680,10 @@ class TestHelpers:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="threads are read in /proc")
     def test_points_start_no_blas_thread(self):
-        # the fork leaves the caller and the helper one OS thread each; at
-        # scck8 8x32 the per-tap product of apply_channel, done whole, is past
-        # OpenBLAS's threading size and starts its worker again in both
+        # the fork leaves the caller and the helper one OS thread each; past
+        # OpenBLAS's threading size a product on more than one BLAS thread
+        # starts its worker again in both: at scck8 8x32 the per-tap product
+        # of apply_channel, at sm-bpsk 64x64 the stacked products of ZF
         out = run_script("""
             import json, os
             from scckm import sim
@@ -697,15 +698,17 @@ class TestHelpers:
             helper = sim._helper.pid
             assert helper
             counts = [[threads(pid) for pid in ("self", helper)]]
-            cfg = sim.SimConfig(scheme="scck8", n_tx=8, n_rx=32, ebn0_db=(0.0,), frames=2,
-                                seed=1, symbols_per_frame=2)
-            sim.run_point(cfg, 0.0)
-            assert sim._helper.pid == helper
-            counts.append([threads(pid) for pid in ("self", helper)])
+            for scheme, n_tx, n_rx, symbols in (("scck8", 8, 32, 2), ("sm-bpsk", 64, 64, 1)):
+                cfg = sim.SimConfig(scheme=scheme, n_tx=n_tx, n_rx=n_rx, ebn0_db=(0.0,),
+                                    frames=2, seed=1, symbols_per_frame=symbols)
+                sim.run_point(cfg, 0.0)
+                assert sim._helper.pid == helper
+                counts.append([threads(pid) for pid in ("self", helper)])
             print(json.dumps(counts))
         """)
-        warmed, after = json.loads(out)
-        assert after == warmed, f"OS threads of the caller and the helper: {warmed} -> {after}"
+        warmed, *after = json.loads(out)
+        assert after == [warmed] * 2, (
+            f"OS threads of the caller and the helper: {warmed} -> {after}")
 
     def test_each_rebound_stage_runs_every_frame_here(self):
         # perfbench's tracer reads a stage's time in this process: rebinding
