@@ -74,7 +74,7 @@ def parse_ebn0(text: str) -> tuple:
 def read_config_file(path: str) -> dict:
     """key=value lines keyed by long flag name, typed per SETTINGS; # comments ignored."""
     settings = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -127,7 +127,7 @@ def build_config(settings: dict) -> SimConfig:
     if ntx is None and scheme in SCHEMES:
         if SCHEMES[scheme].codebook is None:
             raise ValueError(f"{scheme} requires --ntx")
-        ntx = SCHEMES[scheme].table().shape[1]
+        ntx = SCHEMES[scheme].codebook.length_n
     if settings["nrx"] is None:
         raise ValueError("--nrx is required")
     if not settings["ebn0"]:

@@ -28,8 +28,7 @@ import sys
 import threading
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,26 +95,26 @@ _one_blas_thread()
 
 
 class Scheme(NamedTuple):
-    """What a scheme name fixes: a CCK codebook or an SM constellation.
+    """What a scheme name fixes: a CCK codebook, built at import, or an SM constellation.
 
     The rest follows from the transmit table: its row count is 2**(bits per
     subcarrier), and an SCCK table's width, the codeword length, fixes n_tx.
     """
 
-    codebook: Callable[[], Codebook] | None = None
+    codebook: Codebook | None = None
     constellation: str | None = None
 
-    def table(self, n_tx: int | None = None) -> np.ndarray:
+    def table(self, n_tx: int) -> np.ndarray:
         """The unit-energy (2**m, n_tx) transmit table; SCCK ignores n_tx."""
         if self.codebook is not None:
-            return scck_table(self.codebook())
+            return scck_table(self.codebook)
         return sm_table(n_tx, self.constellation)
 
 
 SCHEMES = {
-    "scck2": Scheme(codebook=cck2_codebook),
-    "scck4": Scheme(codebook=cck4_reference_codebook),
-    "scck8": Scheme(codebook=cck8_codebook),
+    "scck2": Scheme(codebook=cck2_codebook()),
+    "scck4": Scheme(codebook=cck4_reference_codebook()),
+    "scck8": Scheme(codebook=cck8_codebook()),
     "sm-bpsk": Scheme(constellation="bpsk"),
     "sm-4qam": Scheme(constellation="4qam"),
 }
@@ -133,6 +132,8 @@ class SimConfig:
     ofdm: OfdmParams = field(default_factory=OfdmParams)
     taps: int = 2
     max_bit_errors: int | None = None
+    # log2 of the row count of the scheme's transmit table
+    bits_per_subcarrier: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -149,10 +150,11 @@ class SimConfig:
                 or not 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         # SM's table rejects a count that is not a power of two
-        required = SCHEMES[self.scheme].table(self.n_tx).shape[1]
+        rows, required = SCHEMES[self.scheme].table(self.n_tx).shape
         if self.n_tx != required:
             raise ValueError(
                 f"{self.scheme} requires {required} transmit antennas, got {self.n_tx}")
+        object.__setattr__(self, "bits_per_subcarrier", rows.bit_length() - 1)
         if self.n_rx < self.n_tx:
             raise ValueError(
                 f"zero forcing needs n_rx >= n_tx, got {self.n_rx} < {self.n_tx}"
@@ -169,11 +171,6 @@ class SimConfig:
             raise ValueError(f"ofdm must be an OfdmParams, got {self.ofdm!r}")
         _twiddles(self.ofdm, self.taps)  # raises where the prefix cannot hold the taps
         object.__setattr__(self, "ebn0_db", ebn0_db)
-
-    @cached_property
-    def bits_per_subcarrier(self) -> int:
-        """log2 of the row count of the scheme's transmit table."""
-        return len(SCHEMES[self.scheme].table(self.n_tx)).bit_length() - 1
 
 
 class BerPoint(NamedTuple):
@@ -238,7 +235,7 @@ def _frame_errors(config: SimConfig, n0: float, frame: int) -> int:
     """
     scheme = SCHEMES[config.scheme]
     if scheme.codebook is not None:
-        map_bits, detect, args = scck_map, ml_detect_scck_grid, (scheme.codebook(),)
+        map_bits, detect, args = scck_map, ml_detect_scck_grid, (scheme.codebook,)
     else:
         map_bits, detect = sm_map, ml_detect_sm_equalized_grid
         args = (config.n_tx, scheme.constellation)

@@ -13,7 +13,7 @@ import pytest
 
 import scckm
 from scckm import sim
-from scckm.cck import unpack_bits
+from scckm.cck import Codebook, unpack_bits
 from scckm.cli import build_config, main, parse_ebn0, read_config_file
 from scckm.modem import scck_map, sm_map
 from scckm.ofdm import OfdmParams
@@ -144,10 +144,19 @@ class TestSchemeTable:
         table = scheme.table(n_tx)
         every_pattern = unpack_bits(np.arange(len(table)), len(table).bit_length() - 1)
         if scheme.codebook is not None:
-            grid = scck_map(every_pattern, scheme.codebook())
+            grid = scck_map(every_pattern, scheme.codebook)
         else:
             grid = sm_map(every_pattern, n_tx, scheme.constellation)
         assert np.array_equal(grid.T, table)
+
+    def test_no_config_frame_or_cli_call_builds_a_codebook(self, monkeypatch):
+        # each SCCK codebook is built once, when scckm.sim is imported
+        built = []
+        monkeypatch.setattr(Codebook, "__post_init__", lambda book: built.append(book))
+        run_point(small_config(scheme="scck8", n_tx=8, n_rx=8), 4.0)
+        build_config({"scheme": "scck8", "nrx": 8, "ebn0": (0.0,)})
+        assert len(built) == 0
+        assert isinstance(sim.SCHEMES["scck8"].codebook, Codebook)
 
 
 class TestNoiseVariance:
@@ -881,6 +890,12 @@ class TestConfigFile:
         with pytest.raises(ValueError) as excinfo:
             read_config_file(str(cfg_file))
         assert str(excinfo.value) == f"{cfg_file}:2: unknown key 'frams'"
+
+    def test_byte_order_mark(self, tmp_path):
+        # Windows Notepad starts a UTF-8 file with the mark EF BB BF
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbfscheme = scck2\nnrx = 2\n")
+        assert read_config_file(str(cfg_file)) == {"scheme": "scck2", "nrx": 2}
 
 
 class TestBuildConfig:

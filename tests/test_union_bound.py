@@ -65,16 +65,21 @@ def test_scck2_and_sm_bpsk_share_a_bound(n_rx):
     assert abs(scck2 - sm_bpsk) <= 1e-12 * scck2
 
 
-@pytest.mark.parametrize("scheme, n_tx, n_rx, ebn0_db", [
-    ("scck2", 2, 4, 8.0),
-    ("sm-bpsk", 2, 4, 8.0),
-    ("scck4", 4, 8, 4.0),
-    ("sm-4qam", 4, 8, 4.0),
-    ("scck8", 8, 16, -2.0),
-    ("sm-bpsk", 8, 16, -2.0),
+@pytest.mark.parametrize("scheme, n_tx, n_rx, ebn0_db, taps", [
+    pytest.param(*case, 2, id="-".join(map(str, case))) for case in [
+        ("scck2", 2, 4, 8.0),
+        ("sm-bpsk", 2, 4, 8.0),
+        ("scck4", 4, 8, 4.0),
+        ("sm-4qam", 4, 8, 4.0),
+        ("scck8", 8, 16, -2.0),
+        ("sm-bpsk", 8, 16, -2.0),
+    ]] + [
+    # cp + 1 taps: every H(k) is still iid CN(0, 1), so the bound is the
+    # same; only the spread of the BER around it narrows
+    pytest.param("scck2", 2, 4, 8.0, 17, id="scck2-2-4-8.0-17taps"),
 ])
-def test_ber_lies_near_the_bound(scheme, n_tx, n_rx, ebn0_db):
-    config = SimConfig(scheme, n_tx, n_rx, (ebn0_db,), frames=300, seed=1,
+def test_ber_lies_near_the_bound(scheme, n_tx, n_rx, ebn0_db, taps):
+    config = SimConfig(scheme, n_tx, n_rx, (ebn0_db,), frames=300, seed=1, taps=taps,
                        max_bit_errors=200)
     point = run_point(config, ebn0_db)
     ratio = point.ber / union_bound(scheme, n_tx, n_rx, ebn0_db)
@@ -82,5 +87,5 @@ def test_ber_lies_near_the_bound(scheme, n_tx, n_rx, ebn0_db):
     # binomially precise; the fixed 1.5 stands in for a confidence interval
     # over frames until the simulator reports one
     assert 0.4 <= ratio <= 1.5, (
-        f"{scheme} {n_tx}x{n_rx} at {ebn0_db} dB: BER {point.ber:.4e} "
+        f"{scheme} {n_tx}x{n_rx}, {taps} taps, at {ebn0_db} dB: BER {point.ber:.4e} "
         f"({point.bit_errors} errors), ratio to the bound {ratio:.3f}")
